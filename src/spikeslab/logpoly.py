@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "product_of_linear_factors",
     "leave_one_out_table",
     "weighted_coeff_sum",
-    "weighted_pair_contraction",
 ]
 
 _NEG_INF = -np.inf
@@ -134,23 +132,3 @@ def weighted_coeff_sum(poly: LogPoly, log_w) -> float:
         raise ValueError("weight vector length must match the coefficient count")
     return float(logsumexp(poly.log_coeffs + log_w))
 
-
-def weighted_pair_contraction(pref: np.ndarray, suf: np.ndarray, log_w: np.ndarray) -> float:
-    """log sum_{a,b} exp(pref[a] + suf[b] + log_w[a + b]).
-
-    Contracts the (never materialized) convolution pref * suf against weights
-    indexed by total degree; log_w must have length >= len(pref) + len(suf) - 1.
-    Used for per-coordinate inclusion probabilities, where forming the full
-    leave-one-out polynomial would be wasted work.
-    """
-    p, q = pref.size, suf.size
-    if log_w.size < p + q - 1:
-        raise ValueError("weight vector too short for the contraction")
-    if q > p:
-        pref, suf, p, q = suf, pref, q, p
-    w = sliding_window_view(log_w, q)[:p]
-    m = pref[:, None] + suf[None, :] + w
-    shift = m.max()
-    if not np.isfinite(shift):
-        return -np.inf
-    return float(shift + np.log(np.exp(m - shift).sum()))

@@ -17,14 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .dimension import DimensionFamily, DimensionPrior
-from .logpoly import (
-    _schoolbook_step,
-    product_of_linear_factors,
-    weighted_pair_contraction,
-)
+from .logpoly import _schoolbook_step, product_of_linear_factors
 from .slabs import (
     SlabCdfTable,
     SlabFamily,
@@ -37,7 +33,7 @@ from .slabs import (
 
 DEFAULT_LEVELS = (0.025, 0.975)
 
-_BRACKET = 40.0  # quantile search bracket half-width around each observation
+_BRACKET = 40.0  # Laplace quantile bracket half-width around each observation
 _BISECT_ITERS = 40  # 80 / 2^40 < 1e-10 absolute on the quantile
 
 
@@ -101,20 +97,24 @@ class Posterior:
             log_q = la + log_r - np.logaddexp(l1a, la + log_r)
             self.inclusion_prob = np.exp(log_q)
         else:
-            # leave-one-out contractions built from prefix/suffix partial
-            # products: additions of nonnegative terms only
-            q = np.empty(n)
-            suffixes = [np.zeros(1)]
-            for i in range(n - 1, -1, -1):
-                suffixes.append(_schoolbook_step(suffixes[-1], log_r[i]))
-            suffixes.reverse()  # suffixes[i] = prod_{j >= i}
+            # forward-backward pass for q_i = d log Z / d log r_i, O(n^2).  A
+            # backward sweep builds G[i][a] = log sum_b s_i[b] exp(lam[a+b+1]),
+            # s_i being the coefficients of prod_{j > i} (1 + r_j Z); a forward
+            # sweep contracts G[i] with the prefix product prod_{j < i}.  Every
+            # step is a log-sum-exp of nonnegative terms.
+            G = [lam[1:]]
+            for i in range(n - 1, 0, -1):
+                g = G[-1]
+                G.append(np.logaddexp(g[:i], log_r[i] + g[1:]))
+            G.reverse()  # G[i] has i + 1 entries, one per prefix coefficient
+            log_num = np.empty(n)
             pref = np.zeros(1)
-            w_inner = lam[1:]
             for i in range(n):
-                log_num = log_r[i] + weighted_pair_contraction(pref, suffixes[i + 1], w_inner)
-                q[i] = np.exp(min(log_num - self.log_partition, 0.0))
+                t = pref + G[i]
+                top = t.max()
+                log_num[i] = top + np.log(np.exp(t - top).sum()) if top > -np.inf else top
                 pref = _schoolbook_step(pref, log_r[i])
-            self.inclusion_prob = q
+            self.inclusion_prob = np.exp(np.minimum(log_r + log_num - self.log_partition, 0.0))
 
         self._cdf_tables: dict[float, SlabCdfTable] = {}
         self._shrinkage = posterior_shrinkage(slab, x)
@@ -130,8 +130,9 @@ class Posterior:
 
     # -- marginal slab cdf H(u) = psi(x, u) / psi(x) -----------------------
 
-    def _slab_cdf(self, x, u):
-        return np.exp(log_psi_partial(self.slab, x, u) - log_psi(self.slab, x))
+    def _slab_cdf(self, x, lpsi, u):
+        """H(u) for observations x, given their cached log psi(x)."""
+        return np.exp(log_psi_partial(self.slab, x, u) - lpsi)
 
     def _cdf_table(self, xv: float) -> SlabCdfTable:
         key = float(xv)
@@ -141,28 +142,35 @@ class Posterior:
             self._cdf_tables[key] = table
         return table
 
-    def _slab_quantile(self, x, tau):
+    def _slab_quantile(self, x, lpsi, tau):
         """Generalized inverse of H for tau in (0, 1); +/-inf outside."""
         x = np.asarray(x, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        x, tau = np.broadcast_arrays(x, tau)
+        x, lpsi, tau = np.broadcast_arrays(x, lpsi, tau)
         out = np.where(tau <= 0.0, -np.inf, np.inf)
         inside = (tau > 0.0) & (tau < 1.0)
         if not np.any(inside):
             return out
         out = out.copy()
         xi, ti = x[inside], tau[inside]
+        if self.slab.family is SlabFamily.GAUSSIAN:
+            # the slab posterior is N(m, sd^2): invert it exactly
+            a = self.slab.scale
+            tau2 = 1.0 + a * a
+            out[inside] = xi * (a * a) / tau2 + a / np.sqrt(tau2) * ndtri(ti)
+            return out
         if self.slab.family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
             # quadrature families: invert a cached per-coordinate cdf table
             out[inside] = [
                 self._cdf_table(v).quantile(t) for v, t in zip(xi, ti)
             ]
             return out
+        li = lpsi[inside]
         lo = xi - _BRACKET
         hi = xi + _BRACKET
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            ge = self._slab_cdf(xi, mid) >= ti
+            ge = self._slab_cdf(xi, li, mid) >= ti
             hi = np.where(ge, mid, hi)
             lo = np.where(ge, lo, mid)
         out[inside] = 0.5 * (lo + hi)
@@ -177,35 +185,38 @@ class Posterior:
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            val += q * float(self._slab_cdf(self.x[i], u))
+            val += q * float(self._slab_cdf(self.x[i], self._log_psi[i], u))
         return float(min(max(val, 0.0), 1.0))
 
     def marginal_quantile(self, i: int, level: float) -> float:
         """Generalized inverse of the marginal cdf; the atom at zero is
-        handled analytically, the slab part by monotone bisection."""
+        handled analytically, the slab part exactly (Gaussian), through a
+        cdf table (Student, exponential power) or by monotone bisection
+        (Laplace)."""
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
         return float(self._quantile_vec(np.asarray([level]), idx=np.asarray([i]))[0])
 
-    def _quantile_vec(self, levels: np.ndarray, idx=None) -> np.ndarray:
+    def _coords(self, idx):
+        """x, cached log psi(x) and q for the coordinates idx (all if None)."""
         if idx is None:
-            x = self.x
-            q = self.inclusion_prob
-        else:
-            x = self.x[idx]
-            q = self.inclusion_prob[idx]
+            return self.x, self._log_psi, self.inclusion_prob
+        return self.x[idx], self._log_psi[idx], self.inclusion_prob[idx]
+
+    def _quantile_vec(self, levels: np.ndarray, idx=None) -> np.ndarray:
+        x, lpsi, q = self._coords(idx)
         out = np.zeros(levels.shape)
-        h0 = np.where(q > 0.0, self._slab_cdf(x, np.zeros_like(x)), 0.5)
+        h0 = np.where(q > 0.0, self._slab_cdf(x, lpsi, np.zeros_like(x)), 0.5)
         atom_lo = q * h0
         atom_hi = atom_lo + (1.0 - q)
         below = levels <= atom_lo
         above = levels > atom_hi
         if np.any(below):
-            out[below] = self._slab_quantile(x[below], levels[below] / q[below])
+            out[below] = self._slab_quantile(x[below], lpsi[below], levels[below] / q[below])
         if np.any(above):
             out[above] = self._slab_quantile(
-                x[above], (levels[above] - (1.0 - q[above])) / q[above]
+                x[above], lpsi[above], (levels[above] - (1.0 - q[above])) / q[above]
             )
         return out
 
@@ -216,16 +227,11 @@ class Posterior:
         return float(self._coordinatewise_median_vec(np.asarray([i]))[0])
 
     def _coordinatewise_median_vec(self, idx=None) -> np.ndarray:
-        if idx is None:
-            x = self.x
-            q = self.inclusion_prob
-        else:
-            x = self.x[idx]
-            q = self.inclusion_prob[idx]
+        x, lpsi, q = self._coords(idx)
         with np.errstate(divide="ignore"):
             inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-        upper = self._slab_quantile(x, 1.0 - inv2q)
-        lower = self._slab_quantile(x, inv2q)
+        upper = self._slab_quantile(x, lpsi, 1.0 - inv2q)
+        lower = self._slab_quantile(x, lpsi, inv2q)
         return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
 
     def _check_index(self, i: int):

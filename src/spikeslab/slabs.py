@@ -27,9 +27,11 @@ from scipy.special import gammaln, log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# half-width of the quadrature window around the observation; the normal
-# factor makes the truncated tail < Phi(-13) ~ 6e-39 of the total mass
+# margin of the quadrature window beyond the observation and the integrand's
+# peak; the normal factor makes the truncated tail < Phi(-13) ~ 6e-39 of the
+# total mass
 _QUAD_HALFWIDTH = 13.0
+_PEAK_STEP = 1e-6  # grid spacing, relative to max(1, |x|), that ends the peak search
 
 
 class QuadratureError(RuntimeError):
@@ -144,15 +146,43 @@ def _log_diff_exp(log_a, log_b):
 # ---------------------------------------------------------------------------
 
 
+def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
+    """(lo, hi, points): integration window for t -> phi(x - t) g(t) and
+    the breakpoints for adaptive quadrature inside it.
+
+    g is symmetric and nonincreasing in |t|, so the maximum lies between 0
+    and x: near x for a heavy slab, pulled toward 0 for a light one, where
+    a window around x alone misses the mass.  It is found by zooming a grid
+    that contains both ends.  The window reaches _QUAD_HALFWIDTH beyond the
+    peak and beyond x.  The breakpoints are the kinks at 0 and x, the peak,
+    and the peak +/- _QUAD_HALFWIDTH, which keep a narrow peak inside a
+    short piece when the window is long.
+    """
+    a, b = min(x, 0.0), max(x, 0.0)
+    while True:
+        grid = np.linspace(a, b, 65)
+        k = int(np.argmax(log_phi(x - grid) + log_g(prior, grid)))
+        if b - a <= 64 * _PEAK_STEP * max(1.0, abs(x)):
+            break
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
+    peak = float(grid[k])
+    lo, hi = min(x, peak) - _QUAD_HALFWIDTH, max(x, peak) + _QUAD_HALFWIDTH
+    points = (peak, peak - _QUAD_HALFWIDTH, peak + _QUAD_HALFWIDTH, 0.0, x)
+    return lo, hi, points
+
+
 def _quad_log(log_f, lo: float, hi: float, tol: float, points=()) -> float:
-    """log of int_lo^hi exp(log_f(t)) dt, with the max factored out."""
+    """log of int_lo^hi exp(log_f(t)) dt, with the max factored out.
+
+    points are breakpoints for the adaptive rule; they should include the
+    integrand's peak, which also enters the max.
+    """
     if hi <= lo:
         return -np.inf
-    grid = np.linspace(lo, hi, 257)
-    shift = float(np.max(log_f(grid)))
+    pts = [p for p in points if lo < p < hi]
+    shift = float(np.max(log_f(np.concatenate([np.linspace(lo, hi, 257), pts]))))
     if not np.isfinite(shift):
         return -np.inf
-    pts = [p for p in points if lo < p < hi]
     val, err = integrate.quad(
         lambda t: math.exp(float(log_f(t)) - shift),
         lo,
@@ -169,15 +199,19 @@ def _quad_log(log_f, lo: float, hi: float, tol: float, points=()) -> float:
     return shift + math.log(val)
 
 
-def _quad_moment(prior: SlabPrior, x: float, power: int) -> float:
-    """int t^power phi(x-t) g(t) dt by quadrature, linear domain."""
-    lo, hi = x - _QUAD_HALFWIDTH, x + _QUAD_HALFWIDTH
+def _quad_moment(prior: SlabPrior, x: float, power: int, log_scale: float = 0.0) -> float:
+    """int t^power phi(x-t) g(t) dt / exp(log_scale) by quadrature.
+
+    The division happens inside the shifted domain, so a ratio such as
+    zeta / psi stays finite when both factors underflow.
+    """
+    lo, hi, points = _window(prior, x)
 
     def log_h(t):
         return log_phi(x - np.asarray(t, dtype=float)) + log_g(prior, t)
 
-    grid = np.linspace(lo, hi, 257)
-    shift = float(np.max(log_h(grid)))
+    pts = [p for p in points if lo < p < hi]
+    shift = float(np.max(log_h(np.concatenate([np.linspace(lo, hi, 257), pts]))))
     val, err = integrate.quad(
         lambda t: t**power * math.exp(float(log_h(t)) - shift),
         lo,
@@ -185,9 +219,9 @@ def _quad_moment(prior: SlabPrior, x: float, power: int) -> float:
         epsabs=1e-14,
         epsrel=prior.quadrature_tol,
         limit=200,
-        points=[p for p in (0.0, x) if lo < p < hi] or None,
+        points=pts or None,
     )
-    return math.exp(shift) * val
+    return val * math.exp(shift - log_scale)
 
 
 def _scalar_map(fn, x):
@@ -219,12 +253,13 @@ def log_psi(prior: SlabPrior, x):
         tol = prior.quadrature_tol
 
         def one(xx):
+            lo, hi, points = _window(prior, xx)
             return _quad_log(
                 lambda t: log_phi(xx - np.asarray(t, dtype=float)) + log_g(prior, t),
-                xx - _QUAD_HALFWIDTH,
-                xx + _QUAD_HALFWIDTH,
+                lo,
+                hi,
                 tol,
-                points=(0.0, xx),
+                points=points,
             )
 
         return _scalar_map(one, x)
@@ -256,12 +291,13 @@ def log_psi_partial(prior: SlabPrior, x, u):
 
         def one(pair):
             xx, uu = pair
+            lo, hi, points = _window(prior, xx)
             return _quad_log(
                 lambda t: log_phi(xx - np.asarray(t, dtype=float)) + log_g(prior, t),
-                min(xx, uu) - _QUAD_HALFWIDTH,
-                min(uu, xx + _QUAD_HALFWIDTH),
+                min(lo, uu - _QUAD_HALFWIDTH),
+                min(uu, hi),
                 tol,
-                points=(0.0, xx),
+                points=points,
             )
 
         flat = np.stack([x.ravel(), u.ravel()], axis=1)
@@ -284,18 +320,22 @@ class SlabCdfTable:
     def __init__(self, prior: SlabPrior, x: float):
         self.prior = prior
         self.x = float(x)
-        lo = self.x - _QUAD_HALFWIDTH
-        hi = self.x + _QUAD_HALFWIDTH
-        knots = [np.linspace(lo, hi, 65)]
+        lo, hi, points = _window(prior, self.x)
+        # 64 panels across the window at x = 0, at most that spacing elsewhere
+        knots = [np.linspace(lo, hi, math.ceil(32.0 * (hi - lo) / _QUAD_HALFWIDTH) + 1),
+                 np.asarray(points)]
         if lo < 0.0 < hi:
             graded = 10.0 ** -np.arange(1.0, 14.0)
-            pts = np.concatenate([-graded, [0.0], graded])
-            knots.append(pts[(pts > lo) & (pts < hi)])
+            knots.append(np.concatenate([-graded, graded]))
         mesh = np.unique(np.concatenate(knots))
+        mesh = mesh[(mesh >= lo) & (mesh <= hi)]
         a, b = mesh[:-1], mesh[1:]
         half = 0.5 * (b - a)
         t = 0.5 * (a + b)[:, None] + half[:, None] * self._NODES[None, :]
-        vals = np.exp(log_phi(self.x - t) + log_g(self.prior, t))
+        log_vals = log_phi(self.x - t) + log_g(self.prior, t)
+        # H is a ratio, so the integrand is scaled by its max: no underflow
+        self._shift = float(log_vals.max())
+        vals = np.exp(log_vals - self._shift)
         self.mesh = mesh
         self.cum = np.concatenate([[0.0], np.cumsum((vals * self._WEIGHTS).sum(axis=1) * half)])
         self.total = float(self.cum[-1])
@@ -311,7 +351,7 @@ class SlabCdfTable:
         a = self.mesh[k]
         half = 0.5 * (u - a)
         t = 0.5 * (u + a) + half * self._NODES
-        part = float((np.exp(log_phi(self.x - t) + log_g(self.prior, t))
+        part = float((np.exp(log_phi(self.x - t) + log_g(self.prior, t) - self._shift)
                       * self._WEIGHTS).sum()) * half
         return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
 
@@ -325,6 +365,14 @@ class SlabCdfTable:
             else:
                 lo = mid
         return 0.5 * (lo + hi)
+
+
+def _quad_moment_ratio(prior: SlabPrior, x: np.ndarray, power: int):
+    """int t^power phi(x-t) g(t) dt / psi(x) by quadrature, elementwise."""
+    lpsi = np.broadcast_to(log_psi(prior, x), x.shape)
+    out = [_quad_moment(prior, float(xx), power, float(lp))
+           for xx, lp in zip(x.ravel(), lpsi.ravel())]
+    return np.array(out).reshape(x.shape)
 
 
 def posterior_shrinkage(prior: SlabPrior, x):
@@ -345,8 +393,7 @@ def posterior_shrinkage(prior: SlabPrior, x):
     elif prior.family is SlabFamily.GAUSSIAN:
         out = x * (a * a) / (1.0 + a * a)
     else:
-        psi = np.exp(log_psi(prior, x))
-        out = _scalar_map(lambda xx: _quad_moment(prior, xx, 1), x) / psi
+        out = _quad_moment_ratio(prior, x, 1)
     return out if np.ndim(out) else float(out)
 
 
@@ -371,6 +418,5 @@ def second_moment_ratio(prior: SlabPrior, x):
         m = x * (a * a) / tau2
         out = m * m + (a * a) / tau2
     else:
-        psi = np.exp(log_psi(prior, x))
-        out = _scalar_map(lambda xx: _quad_moment(prior, xx, 2), x) / psi
+        out = _quad_moment_ratio(prior, x, 2)
     return out if np.ndim(out) else float(out)

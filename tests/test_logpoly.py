@@ -14,7 +14,6 @@ from spikeslab import (
     product_of_linear_factors,
     weighted_coeff_sum,
 )
-from spikeslab.logpoly import weighted_pair_contraction
 
 
 def coeffs(poly: LogPoly) -> np.ndarray:
@@ -241,28 +240,6 @@ def test_weighted_coeff_sum_matches_subset_oracle():
         for S in itertools.combinations(range(12), p)
     )
     assert got == pytest.approx(math.log(brute), abs=1e-10)
-
-
-def test_weighted_pair_contraction_matches_explicit_convolution():
-    rng = np.random.default_rng(41)
-    pref = rng.normal(size=6)
-    suf = rng.normal(size=4)
-    log_w = rng.normal(size=9)
-    got = weighted_pair_contraction(pref, suf, log_w)
-    conv = logsumexp_convolve(LogPoly(pref), LogPoly(suf))
-    expected = weighted_coeff_sum(conv, log_w)
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_weighted_pair_contraction_all_neg_inf():
-    pref = np.full(3, -np.inf)
-    suf = np.zeros(2)
-    assert weighted_pair_contraction(pref, suf, np.zeros(4)) == -np.inf
-
-
-def test_weighted_pair_contraction_short_weights():
-    with pytest.raises(ValueError):
-        weighted_pair_contraction(np.zeros(3), np.zeros(3), np.zeros(4))
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,10 +10,13 @@ from spikeslab import (
     complexity_prior,
     custom_prior,
     eb_binomial_weight,
+    exp_power_slab,
     fit,
     gaussian_slab,
+    geometric_prior,
     laplace_slab,
     log_psi,
+    poisson_prior,
     posterior_shrinkage,
     student_slab,
 )
@@ -92,6 +95,39 @@ def test_fit_matches_brute_force(prior_factory, slab):
         assert post.median[i] == pytest.approx(oracle.median(i), abs=1e-6)
 
 
+def _point_mass_prior(n, p):
+    log_w = np.full(n + 1, -np.inf)
+    log_w[p] = 0.0
+    return custom_prior(n, log_w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize(
+    "prior_factory",
+    [
+        lambda n: poisson_prior(n, 1.5),
+        lambda n: geometric_prior(n, 0.4),
+        # -inf mass everywhere but p = 3 (p = n when n < 3)
+        lambda n: _point_mass_prior(n, min(3, n)),
+    ],
+    ids=["poisson", "geometric", "point-mass"],
+)
+def test_inclusion_pass_matches_brute_force(prior_factory, n):
+    rng = np.random.default_rng(200 + n)
+    x = rng.normal(scale=2.0, size=n)
+    prior = prior_factory(n)
+    slab = laplace_slab()
+    post = fit(x, prior, slab)
+    oracle = brute(x, prior, slab)
+
+    assert post.log_partition == pytest.approx(oracle.log_partition, abs=1e-9)
+    assert np.allclose(post.dim_log_pmf, oracle.dim_log_pmf, atol=1e-8)
+    assert np.allclose(post.inclusion_prob, oracle.inclusion_prob, rtol=1e-9, atol=1e-12)
+    assert np.allclose(post.mean, oracle.mean, rtol=1e-7, atol=1e-10)
+    for i in range(n):
+        assert post.median[i] == pytest.approx(oracle.median(i), abs=1e-6)
+
+
 def test_binomial_fast_path_matches_general_path():
     rng = np.random.default_rng(5)
     n = 60
@@ -117,6 +153,15 @@ def test_expected_dimension_identity():
         np.sum(np.arange(41) * np.exp(post.dim_log_pmf))
     )
     assert post.inclusion_prob.sum() == pytest.approx(expected_dim, abs=1e-10)
+
+
+def test_expected_dimension_identity_large_n():
+    rng = np.random.default_rng(47)
+    n = 2000
+    x = rng.normal(size=n) + np.where(np.arange(n) < 100, 4.0, 0.0)
+    post = fit(x, betabin_power_prior(n, 1.0), laplace_slab(), quantiles=False)
+    expected_dim = float(np.sum(np.arange(n + 1) * np.exp(post.dim_log_pmf)))
+    assert abs(post.inclusion_prob.sum() - expected_dim) <= 1e-8
 
 
 def test_mean_identity():
@@ -251,6 +296,35 @@ def test_median_equals_half_quantile(small_fit):
 def test_interval_ordering(small_fit):
     assert np.all(small_fit.credible_lo <= small_fit.median + 1e-12)
     assert np.all(small_fit.median <= small_fit.credible_hi + 1e-12)
+
+
+@pytest.mark.parametrize("xv", [1e2, 1e3, 1e4])
+def test_gaussian_slab_quantiles_far_tails(xv):
+    # the slab posterior is N(x a^2 / (1 + a^2), a^2 / (1 + a^2)); a fixed
+    # bisection bracket around x cannot reach its median once x >> 1
+    a = 1.0
+    x = np.array([xv, 0.3])
+    post = fit(x, complexity_prior(2, 0.1), gaussian_slab(a))
+    m = xv * a * a / (1.0 + a * a)
+    assert post.median[0] == pytest.approx(m, rel=1e-12)
+    d = 1e-6 * m
+    for level, v in ((0.5, post.median[0]), (0.025, post.credible_lo[0]),
+                     (0.975, post.credible_hi[0])):
+        assert post.marginal_cdf(0, v - d) <= level <= post.marginal_cdf(0, v + d)
+
+
+def test_light_quadrature_slab_matches_gaussian_far_from_zero():
+    # exp-power with alpha = 2 and scale s is the Gaussian slab with std
+    # s / sqrt(2); at |x| >= 40 its slab posterior sits near the origin and
+    # psi(x) underflows in the linear domain
+    x = np.array([-40.0, 0.5, 3.0, 1e3])
+    prior = complexity_prior(4, 0.1)
+    quad = fit(x, prior, exp_power_slab(2.0, scale=0.3))
+    exact = fit(x, prior, gaussian_slab(0.3 / math.sqrt(2.0)))
+    assert np.allclose(quad.inclusion_prob, exact.inclusion_prob, rtol=1e-9, atol=1e-12)
+    assert np.allclose(quad.mean, exact.mean, rtol=1e-9, atol=1e-12)
+    for field in ("median", "credible_lo", "credible_hi"):
+        assert np.allclose(getattr(quad, field), getattr(exact, field), rtol=0.0, atol=1e-8)
 
 
 def test_quantiles_false_skips_summary():

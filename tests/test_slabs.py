@@ -239,6 +239,31 @@ def test_second_moment_ratio_against_quadrature():
             assert second_moment_ratio(prior, x) == pytest.approx(expected, rel=1e-7)
 
 
+@pytest.mark.parametrize("x", [-40.0, 3.0, 40.0, 1e3])
+def test_exp_power_two_matches_gaussian_closed_form(x):
+    # exp(-(t/s)^2) is a Gaussian slab with std s / sqrt(2); at |x| >= 40 the
+    # slab posterior sits near the origin, far from x, and psi underflows
+    s = 0.3
+    prior = exp_power_slab(2.0, scale=s)
+    a2 = s * s / 2.0
+    m = x * a2 / (1.0 + a2)
+    assert log_psi(prior, x) == pytest.approx(log_psi(gaussian_slab(math.sqrt(a2)), x), rel=1e-10)
+    assert posterior_shrinkage(prior, x) == pytest.approx(m, rel=1e-9)
+    assert second_moment_ratio(prior, x) == pytest.approx(m * m + a2 / (1.0 + a2), rel=1e-9)
+
+
+@pytest.mark.parametrize("prior", [student_slab(3.0), exp_power_slab(0.5)], ids=str)
+def test_heavy_slab_far_tails_match_quadrature_oracle(prior):
+    # the slab posterior sits within a unit or so of x; the integration
+    # window must still resolve that peak when it also reaches the origin
+    density = _oracle_density(prior)
+    for x in (100.0, 1e4):
+        assert log_psi(prior, x) == pytest.approx(
+            math.log(quad_psi(density, x)), rel=1e-8
+        )
+        assert 0.0 < posterior_shrinkage(prior, x) < x
+
+
 # -- quadrature failure surfacing -------------------------------------------------
 
 
