@@ -25,13 +25,7 @@ from .harness import (
     run_shrinkage_demo,
     run_table,
 )
-from .logpoly import (
-    LogPoly,
-    leave_one_out_table,
-    logsumexp_convolve,
-    product_of_linear_factors,
-    weighted_coeff_sum,
-)
+from .logpoly import LogPoly, product_of_linear_factors
 from .posterior import Posterior, PosteriorSummary, eb_binomial_weight, fit
 from .slabs import (
     QuadratureError,

@@ -18,9 +18,8 @@ from .slabs import (
     SlabPrior,
     gaussian_slab,
     laplace_slab,
-    log_psi,
+    posterior_shrinkage,
     second_moment_ratio,
-    zeta,
 )
 
 TABLE_ESTIMATORS = ("PM1", "PM2", "EBM", "PMed1", "PMed2", "EBMed", "HT", "HTO")
@@ -124,12 +123,14 @@ def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=(),
 
 def _identity_errors(post: Posterior) -> tuple[float, float]:
     """Dual-path identity checks: sum of inclusion probabilities against the
-    expected dimension from the pmf, and the mean against q * zeta / psi."""
+    expected dimension from the pmf, and the mean against q * zeta / psi,
+    the ratio taken from posterior_shrinkage so it stays finite where psi
+    underflows."""
     expected_dim = float(
         np.sum(np.arange(post.dim_log_pmf.size) * np.exp(post.dim_log_pmf))
     )
     dim_err = abs(float(post.inclusion_prob.sum()) - expected_dim)
-    ratio = zeta(post.slab, post.x) / np.exp(log_psi(post.slab, post.x))
+    ratio = posterior_shrinkage(post.slab, post.x)
     mean_err = float(np.max(np.abs(post.mean - post.inclusion_prob * ratio)))
     return dim_err, mean_err
 
@@ -147,8 +148,8 @@ def _table_rep(config: ExperimentConfig, cell_index: int, p_n: int,
     def track(post):
         nonlocal dim_err, mean_err
         d, m = _identity_errors(post)
-        dim_err = max(dim_err, d)
-        mean_err = max(mean_err, m)
+        dim_err = float(np.maximum(dim_err, d))  # NaN propagates
+        mean_err = float(np.maximum(mean_err, m))
 
     if wanted & {"PM1", "PMed1"}:
         post = fit(x, complexity_prior(config.n, config.kappa, config.b),
@@ -220,8 +221,8 @@ def run_table(config: ExperimentConfig) -> ResultTable:
                              "error": error})
             continue
         losses, d_err, m_err = payload
-        dim_err = max(dim_err, d_err)
-        mean_err = max(mean_err, m_err)
+        dim_err = float(np.maximum(dim_err, d_err))  # NaN propagates
+        mean_err = float(np.maximum(mean_err, m_err))
         for key, val in losses.items():
             per_cell[ci].setdefault(key, []).append(val)
 

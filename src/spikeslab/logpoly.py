@@ -15,10 +15,8 @@ from scipy.special import logsumexp
 
 __all__ = [
     "LogPoly",
-    "logsumexp_convolve",
     "product_of_linear_factors",
-    "leave_one_out_table",
-    "weighted_coeff_sum",
+    "inclusion_log_numerators",
 ]
 
 _NEG_INF = -np.inf
@@ -51,84 +49,54 @@ class LogPoly:
         return float(logsumexp(self.log_coeffs))
 
 
-def logsumexp_convolve(a: LogPoly, b: LogPoly) -> LogPoly:
-    """Product of two nonnegative polynomials on the log scale."""
-    ac, bc = a.log_coeffs, b.log_coeffs
-    if bc.size > ac.size:
-        ac, bc = bc, ac
-    p, q = ac.size, bc.size
-    rows = np.full((q, p + q - 1), _NEG_INF)
-    for j in range(q):
-        rows[j, j : j + p] = bc[j] + ac
-    return LogPoly(logsumexp(rows, axis=0))
-
-
-def _schoolbook(log_r: np.ndarray) -> np.ndarray:
-    c = np.zeros(1)
-    for lr in log_r:
-        nxt = np.full(c.size + 1, _NEG_INF)
-        nxt[:-1] = c
-        nxt[1:] = np.logaddexp(nxt[1:], c + lr)
-        c = nxt
-    return c
-
-
-def _product_tree(log_r: np.ndarray) -> LogPoly:
-    if log_r.size <= 32:
-        return LogPoly(_schoolbook(log_r))
-    mid = log_r.size // 2
-    return logsumexp_convolve(_product_tree(log_r[:mid]), _product_tree(log_r[mid:]))
-
-
-def product_of_linear_factors(log_r, strategy: str = "schoolbook") -> LogPoly:
-    """prod_i (1 + r_i Z) with r_i = exp(log_r[i]); coefficient p is the
-    p-th elementary symmetric polynomial of the r_i.
-
-    strategy "schoolbook" multiplies the factors in one incremental sweep;
-    "divide-and-conquer" uses a balanced product tree (same asymptotic cost
-    with log-sum-exp merges, different reduction order).
-    """
+def _validated_log_r(log_r) -> np.ndarray:
     log_r = np.atleast_1d(np.asarray(log_r, dtype=float))
     if np.any(np.isnan(log_r)) or np.any(log_r == np.inf):
         raise ValueError("log_r entries must be finite or -inf")
-    if strategy == "schoolbook":
-        return LogPoly(_schoolbook(log_r))
-    if strategy == "divide-and-conquer":
-        return _product_tree(log_r)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def leave_one_out_table(log_r):
-    """Prefix and suffix partial products of the linear factors.
-
-    Returns (prefix, suffix), each a list of n + 1 LogPoly values with
-    prefix[i] = prod_{j < i} (1 + r_j Z) and suffix[i] = prod_{j >= i}.
-    The leave-one-out polynomial for coordinate i is
-    prefix[i] * suffix[i + 1], formed by log-sum-exp convolution only.
-    """
-    log_r = np.atleast_1d(np.asarray(log_r, dtype=float))
-    n = log_r.size
-    prefix = [LogPoly.one()]
-    for i in range(n):
-        prefix.append(LogPoly(_schoolbook_step(prefix[-1].log_coeffs, log_r[i])))
-    suffix = [None] * (n + 1)
-    suffix[n] = LogPoly.one()
-    for i in range(n - 1, -1, -1):
-        suffix[i] = LogPoly(_schoolbook_step(suffix[i + 1].log_coeffs, log_r[i]))
-    return prefix, suffix
+    return log_r
 
 
 def _schoolbook_step(c: np.ndarray, lr: float) -> np.ndarray:
+    """Coefficients of (1 + e^lr Z) times the polynomial with log-coefficients c."""
     nxt = np.full(c.size + 1, _NEG_INF)
     nxt[:-1] = c
     nxt[1:] = np.logaddexp(nxt[1:], c + lr)
     return nxt
 
 
-def weighted_coeff_sum(poly: LogPoly, log_w) -> float:
-    """log sum_p exp(log_w[p] + log_coeffs[p])."""
-    log_w = np.asarray(log_w, dtype=float)
-    if log_w.shape != poly.log_coeffs.shape:
-        raise ValueError("weight vector length must match the coefficient count")
-    return float(logsumexp(poly.log_coeffs + log_w))
+def product_of_linear_factors(log_r) -> LogPoly:
+    """prod_i (1 + r_i Z) with r_i = exp(log_r[i]); coefficient p is the
+    p-th elementary symmetric polynomial of the r_i, built by one
+    incremental sweep over the factors."""
+    c = np.zeros(1)
+    for lr in _validated_log_r(log_r):
+        c = _schoolbook_step(c, lr)
+    return LogPoly(c)
 
+
+def inclusion_log_numerators(log_r, log_w) -> tuple[LogPoly, np.ndarray]:
+    """Product F = prod_i (1 + r_i Z) and the numerators of q_i = d log Z / d log r_i.
+
+    With Z = sum_p w[p] F[p] (log_w has n + 1 entries), returns F and
+    num[i] = log sum_{S not containing i} w[|S| + 1] prod_{j in S} r_j, so
+    that q_i = exp(log_r[i] + num[i] - log Z).  O(n^2): a backward sweep
+    builds G[i][a] = log sum_b s_i[b] w[a + b + 1], s_i being the
+    coefficients of prod_{j > i} (1 + r_j Z); a forward sweep contracts G[i]
+    with the prefix product prod_{j < i}, whose last value is F.  Every step
+    is a log-sum-exp of nonnegative terms.
+    """
+    log_r = _validated_log_r(log_r)
+    n = log_r.size
+    G = [np.asarray(log_w, dtype=float)[1:]]
+    for i in range(n - 1, 0, -1):
+        g = G[-1]
+        G.append(np.logaddexp(g[:i], log_r[i] + g[1:]))
+    G.reverse()  # G[i] has i + 1 entries, one per prefix coefficient
+    log_num = np.empty(n)
+    pref = np.zeros(1)
+    for i in range(n):
+        t = pref + G[i]
+        top = t.max()
+        log_num[i] = top + np.log(np.exp(t - top).sum()) if top > -np.inf else top
+        pref = _schoolbook_step(pref, log_r[i])
+    return LogPoly(pref), log_num

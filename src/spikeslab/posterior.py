@@ -20,15 +20,15 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, ndtri
 
 from .dimension import DimensionFamily, DimensionPrior
-from .logpoly import _schoolbook_step, product_of_linear_factors
+from .logpoly import inclusion_log_numerators, product_of_linear_factors
 from .slabs import (
-    SlabCdfTable,
     SlabFamily,
     SlabPrior,
     log_phi,
     log_psi,
     log_psi_partial,
     posterior_shrinkage,
+    slab_tables,
 )
 
 DEFAULT_LEVELS = (0.025, 0.975)
@@ -69,8 +69,7 @@ class Posterior:
     """Fitted posterior: summary fields plus marginal cdf / quantile access."""
 
     def __init__(self, x, dim_prior: DimensionPrior, slab: SlabPrior,
-                 levels=DEFAULT_LEVELS, strategy: str = "schoolbook",
-                 quantiles: bool = True):
+                 levels=DEFAULT_LEVELS, quantiles: bool = True):
         x = validate_observations(x)
         n = x.size
         if dim_prior.n != n:
@@ -80,16 +79,29 @@ class Posterior:
         self.dim_prior = dim_prior
         self.levels = tuple(levels)
 
-        self._log_phi = log_phi(x)
-        self._log_psi = log_psi(slab, x)
-        log_r = self._log_psi - self._log_phi
+        # the families without closed forms get one panel table per distinct
+        # observation, built here and used for every slab evaluation of the
+        # fit; the fitted object keeps none, so stored fits stay small
+        idx = np.arange(n)
+        tables = self._tables(idx)
+        if tables is not None:
+            self._log_psi = np.array([tables[i].log_psi for i in idx])
+            shrinkage = np.array([tables[i].mean for i in idx])
+        else:
+            self._log_psi = log_psi(slab, x)
+            shrinkage = posterior_shrinkage(slab, x)
+        log_r = self._log_psi - log_phi(x)
         lam = dim_prior.log_model_weights()
 
-        F = product_of_linear_factors(log_r, strategy)
+        binomial = dim_prior.family is DimensionFamily.BINOMIAL
+        if binomial:
+            F = product_of_linear_factors(log_r)
+        else:
+            # O(n^2) forward-backward pass for q_i = d log Z / d log r_i
+            F, log_num = inclusion_log_numerators(log_r, lam)
         self.log_partition = float(logsumexp(lam + F.log_coeffs))
         self.dim_log_pmf = lam + F.log_coeffs - self.log_partition
-
-        if dim_prior.family is DimensionFamily.BINOMIAL:
+        if binomial:
             # binomial dimension prior makes the coordinates independent:
             # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
             alpha = dim_prior.params[0]
@@ -97,80 +109,57 @@ class Posterior:
             log_q = la + log_r - np.logaddexp(l1a, la + log_r)
             self.inclusion_prob = np.exp(log_q)
         else:
-            # forward-backward pass for q_i = d log Z / d log r_i, O(n^2).  A
-            # backward sweep builds G[i][a] = log sum_b s_i[b] exp(lam[a+b+1]),
-            # s_i being the coefficients of prod_{j > i} (1 + r_j Z); a forward
-            # sweep contracts G[i] with the prefix product prod_{j < i}.  Every
-            # step is a log-sum-exp of nonnegative terms.
-            G = [lam[1:]]
-            for i in range(n - 1, 0, -1):
-                g = G[-1]
-                G.append(np.logaddexp(g[:i], log_r[i] + g[1:]))
-            G.reverse()  # G[i] has i + 1 entries, one per prefix coefficient
-            log_num = np.empty(n)
-            pref = np.zeros(1)
-            for i in range(n):
-                t = pref + G[i]
-                top = t.max()
-                log_num[i] = top + np.log(np.exp(t - top).sum()) if top > -np.inf else top
-                pref = _schoolbook_step(pref, log_r[i])
             self.inclusion_prob = np.exp(np.minimum(log_r + log_num - self.log_partition, 0.0))
 
-        self._cdf_tables: dict[float, SlabCdfTable] = {}
-        self._shrinkage = posterior_shrinkage(slab, x)
-        self.mean = self.inclusion_prob * self._shrinkage
+        self.mean = self.inclusion_prob * shrinkage
 
         if quantiles:
-            self.median = self._coordinatewise_median_vec()
+            self.median = self._coordinatewise_median_vec(idx, tables)
             lo, hi = self.levels
-            self.credible_lo = self._quantile_vec(np.full(n, lo))
-            self.credible_hi = self._quantile_vec(np.full(n, hi))
+            self.credible_lo = self._quantile_vec(np.full(n, lo), idx, tables)
+            self.credible_hi = self._quantile_vec(np.full(n, hi), idx, tables)
         else:
             self.median = self.credible_lo = self.credible_hi = None
 
     # -- marginal slab cdf H(u) = psi(x, u) / psi(x) -----------------------
 
-    def _slab_cdf(self, x, lpsi, u):
-        """H(u) for observations x, given their cached log psi(x)."""
-        return np.exp(log_psi_partial(self.slab, x, u) - lpsi)
+    def _tables(self, idx):
+        """Panel tables of the coordinates idx, keyed by coordinate, one per
+        distinct observation; None for the closed-form slab families."""
+        if self.slab.family not in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
+            return None
+        return dict(zip(idx.tolist(), slab_tables(self.slab, self.x[idx])))
 
-    def _cdf_table(self, xv: float) -> SlabCdfTable:
-        key = float(xv)
-        table = self._cdf_tables.get(key)
-        if table is None:
-            table = SlabCdfTable(self.slab, key)
-            self._cdf_tables[key] = table
-        return table
+    def _slab_cdf(self, idx, u, tables):
+        """H(u) for the coordinates idx, from their tables or the cached
+        log psi(x)."""
+        idx, u = np.broadcast_arrays(idx, u)
+        if tables is not None:
+            return np.array([tables[i].cdf(v) for i, v in zip(idx, u)])
+        return np.exp(log_psi_partial(self.slab, self.x[idx], u) - self._log_psi[idx])
 
-    def _slab_quantile(self, x, lpsi, tau):
+    def _slab_quantile(self, idx, tau, tables):
         """Generalized inverse of H for tau in (0, 1); +/-inf outside."""
-        x = np.asarray(x, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        x, lpsi, tau = np.broadcast_arrays(x, lpsi, tau)
+        idx, tau = np.broadcast_arrays(idx, np.asarray(tau, dtype=float))
         out = np.where(tau <= 0.0, -np.inf, np.inf)
         inside = (tau > 0.0) & (tau < 1.0)
         if not np.any(inside):
             return out
-        out = out.copy()
-        xi, ti = x[inside], tau[inside]
+        ii, ti = idx[inside], tau[inside]
         if self.slab.family is SlabFamily.GAUSSIAN:
             # the slab posterior is N(m, sd^2): invert it exactly
             a = self.slab.scale
             tau2 = 1.0 + a * a
-            out[inside] = xi * (a * a) / tau2 + a / np.sqrt(tau2) * ndtri(ti)
+            out[inside] = self.x[ii] * (a * a) / tau2 + a / np.sqrt(tau2) * ndtri(ti)
             return out
-        if self.slab.family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
-            # quadrature families: invert a cached per-coordinate cdf table
-            out[inside] = [
-                self._cdf_table(v).quantile(t) for v, t in zip(xi, ti)
-            ]
+        if tables is not None:
+            out[inside] = [tables[i].quantile(t) for i, t in zip(ii, ti)]
             return out
-        li = lpsi[inside]
-        lo = xi - _BRACKET
-        hi = xi + _BRACKET
+        lo = self.x[ii] - _BRACKET
+        hi = self.x[ii] + _BRACKET
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            ge = self._slab_cdf(xi, li, mid) >= ti
+            ge = self._slab_cdf(ii, mid, None) >= ti
             hi = np.where(ge, mid, hi)
             lo = np.where(ge, lo, mid)
         out[inside] = 0.5 * (lo + hi)
@@ -178,45 +167,42 @@ class Posterior:
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
-        the slab part q_i * psi(x_i, u) / psi(x_i)."""
+        the slab part q_i * psi(x_i, u) / psi(x_i).  For the Student and
+        exponential-power slabs each call builds the coordinate's table."""
         self._check_index(i)
         if np.isinf(u):
             return 0.0 if u < 0 else 1.0
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            val += q * float(self._slab_cdf(self.x[i], self._log_psi[i], u))
+            idx = np.array([i])
+            val += q * float(self._slab_cdf(idx, u, self._tables(idx))[0])
         return float(min(max(val, 0.0), 1.0))
 
     def marginal_quantile(self, i: int, level: float) -> float:
         """Generalized inverse of the marginal cdf; the atom at zero is
-        handled analytically, the slab part exactly (Gaussian), through a
-        cdf table (Student, exponential power) or by monotone bisection
-        (Laplace)."""
+        handled analytically, the slab part exactly (Gaussian), through the
+        coordinate's panel table (Student, exponential power) or by monotone
+        bisection (Laplace)."""
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
-        return float(self._quantile_vec(np.asarray([level]), idx=np.asarray([i]))[0])
+        idx = np.array([i])
+        return float(self._quantile_vec(np.asarray([level]), idx, self._tables(idx))[0])
 
-    def _coords(self, idx):
-        """x, cached log psi(x) and q for the coordinates idx (all if None)."""
-        if idx is None:
-            return self.x, self._log_psi, self.inclusion_prob
-        return self.x[idx], self._log_psi[idx], self.inclusion_prob[idx]
-
-    def _quantile_vec(self, levels: np.ndarray, idx=None) -> np.ndarray:
-        x, lpsi, q = self._coords(idx)
+    def _quantile_vec(self, levels: np.ndarray, idx, tables) -> np.ndarray:
+        q = self.inclusion_prob[idx]
         out = np.zeros(levels.shape)
-        h0 = np.where(q > 0.0, self._slab_cdf(x, lpsi, np.zeros_like(x)), 0.5)
+        h0 = np.where(q > 0.0, self._slab_cdf(idx, 0.0, tables), 0.5)
         atom_lo = q * h0
         atom_hi = atom_lo + (1.0 - q)
         below = levels <= atom_lo
         above = levels > atom_hi
         if np.any(below):
-            out[below] = self._slab_quantile(x[below], lpsi[below], levels[below] / q[below])
+            out[below] = self._slab_quantile(idx[below], levels[below] / q[below], tables)
         if np.any(above):
             out[above] = self._slab_quantile(
-                x[above], lpsi[above], (levels[above] - (1.0 - q[above])) / q[above]
+                idx[above], (levels[above] - (1.0 - q[above])) / q[above], tables
             )
         return out
 
@@ -224,14 +210,15 @@ class Posterior:
         """Median of the marginal posterior of coordinate i; exactly zero
         whenever the inclusion probability is at most 1/2."""
         self._check_index(i)
-        return float(self._coordinatewise_median_vec(np.asarray([i]))[0])
+        idx = np.array([i])
+        return float(self._coordinatewise_median_vec(idx, self._tables(idx))[0])
 
-    def _coordinatewise_median_vec(self, idx=None) -> np.ndarray:
-        x, lpsi, q = self._coords(idx)
+    def _coordinatewise_median_vec(self, idx, tables) -> np.ndarray:
+        q = self.inclusion_prob[idx]
         with np.errstate(divide="ignore"):
             inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-        upper = self._slab_quantile(x, lpsi, 1.0 - inv2q)
-        lower = self._slab_quantile(x, lpsi, inv2q)
+        upper = self._slab_quantile(idx, 1.0 - inv2q, tables)
+        lower = self._slab_quantile(idx, inv2q, tables)
         return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
 
     def _check_index(self, i: int):
@@ -255,16 +242,15 @@ class Posterior:
 
 
 def fit(x, dim_prior: DimensionPrior, slab: SlabPrior, levels=DEFAULT_LEVELS,
-        strategy: str = "schoolbook", quantiles: bool = True) -> Posterior:
+        quantiles: bool = True) -> Posterior:
     """Compute the exact posterior for observations x."""
-    return Posterior(x, dim_prior, slab, levels=levels, strategy=strategy,
-                     quantiles=quantiles)
+    return Posterior(x, dim_prior, slab, levels=levels, quantiles=quantiles)
 
 
 def eb_binomial_weight(x, slab: SlabPrior) -> float:
     """Marginal maximum-likelihood mixture weight for a binomial(n, alpha)
-    dimension prior: argmax over alpha in [1/n, 1 - 1e-6] of
-    sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i))."""
+    dimension prior: argmax over alpha in [min(1/n, 1 - 1e-6), 1 - 1e-6] of
+    sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i)); n = 1 gives 1 - 1e-6."""
     x = validate_observations(x)
     n = x.size
     lphi = log_phi(x)
@@ -275,9 +261,10 @@ def eb_binomial_weight(x, slab: SlabPrior) -> float:
             np.logaddexp(np.log1p(-alpha) + lphi, np.log(alpha) + lpsi).sum()
         )
 
-    lo, hi = 1.0 / n, 1.0 - 1e-6
+    hi = 1.0 - 1e-6
+    lo = min(1.0 / n, hi)
     if lo >= hi:  # n = 1 corner
-        return lo
+        return hi
     res = minimize_scalar(neg_loglik, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-8})
     best = float(res.x)

@@ -10,8 +10,9 @@ engine only ever touches g through three scalar functions:
 
 phi is the standard normal density.  Laplace and Gaussian slabs use closed
 forms evaluated on the log scale (log-Phi via erfc keeps the e^{a x} *
-Phi(-x - a) products finite for large |x|); Student and exponential-power
-slabs fall back to adaptive quadrature.
+Phi(-x - a) products finite for large |x|).  Student and exponential-power
+slabs, and the Laplace second moment, come from one panel Gauss-Legendre
+table per observation (SlabCdfTable).
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, log_ndtr
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# margin of the quadrature window beyond the observation and the integrand's
+# margin of the integration window beyond the observation and the integrand's
 # peak; the normal factor makes the truncated tail < Phi(-13) ~ 6e-39 of the
 # total mass
 _QUAD_HALFWIDTH = 13.0
@@ -35,7 +35,7 @@ _PEAK_STEP = 1e-6  # grid spacing, relative to max(1, |x|), that ends the peak s
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Panel quadrature failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -57,6 +57,10 @@ class SlabPrior:
         exponential-power scale.
     shape: Student degrees of freedom (> 2, so the second moment is finite)
         or exponential-power exponent in (0, 2].
+    quadrature_tol: relative accuracy asked of the panel quadrature
+        (SlabCdfTable).  A table raises QuadratureError when halving every
+        panel changes psi(x) by more than 10 * quadrature_tol plus the
+        rounding floor of the log integrand.
     """
 
     family: SlabFamily
@@ -142,21 +146,24 @@ def _log_diff_exp(log_a, log_b):
 
 
 # ---------------------------------------------------------------------------
-# quadrature backend (Student, exponential-power, and oracle checks)
+# panel quadrature (Student, exponential-power, Laplace second moment)
 # ---------------------------------------------------------------------------
+
+_PANELS_PER_HALFWIDTH = 32  # panels across _QUAD_HALFWIDTH, at most
+_GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
     """(lo, hi, points): integration window for t -> phi(x - t) g(t) and
-    the breakpoints for adaptive quadrature inside it.
+    the knots the panel mesh must contain.
 
     g is symmetric and nonincreasing in |t|, so the maximum lies between 0
     and x: near x for a heavy slab, pulled toward 0 for a light one, where
     a window around x alone misses the mass.  It is found by zooming a grid
     that contains both ends.  The window reaches _QUAD_HALFWIDTH beyond the
-    peak and beyond x.  The breakpoints are the kinks at 0 and x, the peak,
-    and the peak +/- _QUAD_HALFWIDTH, which keep a narrow peak inside a
-    short piece when the window is long.
+    peak and beyond x.  The knots are the kinks at 0 and x, the peak, and
+    the peak +/- _QUAD_HALFWIDTH.
     """
     a, b = min(x, 0.0), max(x, 0.0)
     while True:
@@ -171,64 +178,110 @@ def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
     return lo, hi, points
 
 
-def _quad_log(log_f, lo: float, hi: float, tol: float, points=()) -> float:
-    """log of int_lo^hi exp(log_f(t)) dt, with the max factored out.
+def _mesh(lo: float, hi: float, points, graded_at) -> np.ndarray:
+    """Knots on [lo, hi]: a uniform spacing of at most _QUAD_HALFWIDTH / 32,
+    the given points, and knots at c +/- 2^-k (k = 1..43) around each c in
+    graded_at, which resolve a kink or a steep end of the integrand there."""
+    knots = [np.linspace(lo, hi, math.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH) + 1),
+             np.asarray(points, dtype=float)]
+    knots += [c + np.concatenate([-_GRADED, _GRADED]) for c in graded_at]
+    mesh = np.unique(np.concatenate(knots))
+    return mesh[(mesh >= lo) & (mesh <= hi)]
 
-    points are breakpoints for the adaptive rule; they should include the
-    integrand's peak, which also enters the max.
+
+def _panel_rule(prior: SlabPrior, x: float, a, b):
+    """Nodes t, log integrand log phi(x - t) + log g(t) and weights of the
+    16-point Gauss-Legendre rule on each panel [a, b], one row per panel."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    half = 0.5 * (b - a)
+    t = 0.5 * (a + b)[:, None] + half[:, None] * _NODES
+    return t, log_phi(x - t) + log_g(prior, t), half[:, None] * _WEIGHTS
+
+
+def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
+    """(t, vals, shift, error): nodes, rule weights times the integrand
+    scaled by exp(-shift), shift = the largest log integrand, and the
+    relative change of the integral when every panel is halved.
+
+    Raises QuadratureError when that change exceeds 10 * quadrature_tol
+    plus the rounding floor of the log integrand (machine epsilon times
+    its size at the peak).
     """
-    if hi <= lo:
-        return -np.inf
-    pts = [p for p in points if lo < p < hi]
-    shift = float(np.max(log_f(np.concatenate([np.linspace(lo, hi, 257), pts]))))
-    if not np.isfinite(shift):
-        return -np.inf
-    val, err = integrate.quad(
-        lambda t: math.exp(float(log_f(t)) - shift),
-        lo,
-        hi,
-        epsabs=0.0,
-        epsrel=tol,
-        limit=200,
-        points=pts or None,
-    )
-    if val <= 0.0:
-        return -np.inf
-    if err > 10.0 * tol * val:
-        raise QuadratureError("convolution quadrature did not converge", err / val)
-    return shift + math.log(val)
+    a, b = mesh[:-1], mesh[1:]
+    t, log_f, w = _panel_rule(prior, x, a, b)
+    shift = float(log_f.max())
+    vals = np.exp(log_f - shift) * w
+    mid = 0.5 * (a + b)
+    _, log_f2, w2 = _panel_rule(prior, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
+    error = abs(float((np.exp(log_f2 - shift) * w2).sum()) / float(vals.sum()) - 1.0)
+    if error > 10.0 * prior.quadrature_tol + np.finfo(float).eps * abs(shift):
+        raise QuadratureError(
+            f"panel quadrature at x = {x:g} on [{mesh[0]:g}, {mesh[-1]:g}] did not converge",
+            error)
+    return t, vals, shift, error
 
 
-def _quad_moment(prior: SlabPrior, x: float, power: int, log_scale: float = 0.0) -> float:
-    """int t^power phi(x-t) g(t) dt / exp(log_scale) by quadrature.
+class SlabCdfTable:
+    """Panel quadrature of t -> phi(x - t) g(t) for one observation x.
 
-    The division happens inside the shifted domain, so a ratio such as
-    zeta / psi stays finite when both factors underflow.
+    The mesh spans the window of _window with panels no wider than
+    _QUAD_HALFWIDTH / 32, plus the window's knots and knots graded
+    geometrically toward the kink of g at t = 0; each panel gets the
+    16-point Gauss-Legendre rule, and QuadratureError is raised when the
+    rule has not converged (see _panel_quadrature).  Built once per
+    observation, the table gives log psi(x), the slab-conditional mean
+    zeta/psi and second moment, the slab conditional cdf
+    H(u) = psi(x, u) / psi(x) and its inverse, and `error`, the refinement
+    estimate.  The integrand is scaled by its largest value, so psi and the
+    moments stay finite when psi underflows the linear domain.
     """
-    lo, hi, points = _window(prior, x)
 
-    def log_h(t):
-        return log_phi(x - np.asarray(t, dtype=float)) + log_g(prior, t)
+    def __init__(self, prior: SlabPrior, x: float):
+        self.prior = prior
+        self.x = float(x)
+        lo, hi, points = _window(prior, self.x)
+        self.mesh = _mesh(lo, hi, points, graded_at=(0.0,))
+        t, vals, self._shift, self.error = _panel_quadrature(prior, self.x, self.mesh)
+        self.cum = np.concatenate([[0.0], np.cumsum(vals.sum(axis=1))])
+        self.total = float(self.cum[-1])
+        self.log_psi = self._shift + math.log(self.total)
+        self.mean = float((vals * t).sum()) / self.total
+        self.second_moment = float((vals * t * t).sum()) / self.total
 
-    pts = [p for p in points if lo < p < hi]
-    shift = float(np.max(log_h(np.concatenate([np.linspace(lo, hi, 257), pts]))))
-    val, err = integrate.quad(
-        lambda t: t**power * math.exp(float(log_h(t)) - shift),
-        lo,
-        hi,
-        epsabs=1e-14,
-        epsrel=prior.quadrature_tol,
-        limit=200,
-        points=pts or None,
-    )
-    return val * math.exp(shift - log_scale)
+    def cdf(self, u: float) -> float:
+        """H(u) = psi(x, u) / psi(x), clipped to [0, 1]."""
+        u = float(u)
+        if u <= self.mesh[0]:
+            return 0.0
+        if u >= self.mesh[-1]:
+            return 1.0
+        k = int(np.searchsorted(self.mesh, u)) - 1
+        _, log_f, w = _panel_rule(self.prior, self.x, self.mesh[k], u)
+        part = float((np.exp(log_f - self._shift) * w).sum())
+        return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
+
+    def quantile(self, tau: float) -> float:
+        """Generalized inverse of H by monotone bisection."""
+        lo, hi = float(self.mesh[0]), float(self.mesh[-1])
+        for _ in range(60):  # 2^-60 of the window is below float resolution
+            mid = 0.5 * (lo + hi)
+            if self.cdf(mid) >= tau:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
 
-def _scalar_map(fn, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return float(fn(float(x)))
-    return np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
+def slab_tables(prior: SlabPrior, x: np.ndarray) -> list[SlabCdfTable]:
+    """A SlabCdfTable for each entry of the 1-d array x, one per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    tables = [SlabCdfTable(prior, v) for v in values]
+    return [tables[k] for k in inverse.ravel()]
+
+
+def _table_values(prior: SlabPrior, x: np.ndarray, attr: str):
+    out = np.array([getattr(t, attr) for t in slab_tables(prior, x.ravel())])
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +303,19 @@ def log_psi(prior: SlabPrior, x):
         tau = math.hypot(1.0, a)
         out = log_phi(x / tau) - math.log(tau)
     else:
-        tol = prior.quadrature_tol
-
-        def one(xx):
-            lo, hi, points = _window(prior, xx)
-            return _quad_log(
-                lambda t: log_phi(xx - np.asarray(t, dtype=float)) + log_g(prior, t),
-                lo,
-                hi,
-                tol,
-                points=points,
-            )
-
-        return _scalar_map(one, x)
+        out = _table_values(prior, x, "log_psi")
     return out if out.ndim else float(out)
 
 
 def log_psi_partial(prior: SlabPrior, x, u):
-    """log psi(x, u) = log int_{-inf}^{u} phi(x - t) g(t) dt."""
+    """log psi(x, u) = log int_{-inf}^{u} phi(x - t) g(t) dt.
+
+    For the Student and exponential-power slabs this is log psi(x) + log H(u)
+    from the panel table.  Where the table's window does not reach
+    _QUAD_HALFWIDTH below u, or H(u) underflows, the integral runs over
+    [u - _QUAD_HALFWIDTH, u] instead, on its own log scale and on knots
+    graded toward u, where the integrand is largest.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
@@ -287,92 +335,16 @@ def log_psi_partial(prior: SlabPrior, x, u):
         sd = a / math.sqrt(tau2)
         out = log_psi(prior, x) + log_ndtr((u - m) / sd)
     else:
-        tol = prior.quadrature_tol
-
-        def one(pair):
-            xx, uu = pair
-            lo, hi, points = _window(prior, xx)
-            return _quad_log(
-                lambda t: log_phi(xx - np.asarray(t, dtype=float)) + log_g(prior, t),
-                min(lo, uu - _QUAD_HALFWIDTH),
-                min(uu, hi),
-                tol,
-                points=points,
-            )
-
-        flat = np.stack([x.ravel(), u.ravel()], axis=1)
-        out = np.array([one(p) for p in flat]).reshape(x.shape)
-    return out if np.ndim(out) else float(out)
-
-
-class SlabCdfTable:
-    """Cached cumulative integral of t -> phi(x - t) g(t) for one observation.
-
-    Built once per coordinate from panel Gauss-Legendre rules on a mesh that
-    is geometrically refined toward the density kink at t = 0, so the slab
-    conditional cdf H(u) and its inverse can be evaluated thousands of times
-    (quantile bisection) without re-running adaptive quadrature.  Used for
-    the families without closed-form partial convolutions.
-    """
-
-    _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-    def __init__(self, prior: SlabPrior, x: float):
-        self.prior = prior
-        self.x = float(x)
-        lo, hi, points = _window(prior, self.x)
-        # 64 panels across the window at x = 0, at most that spacing elsewhere
-        knots = [np.linspace(lo, hi, math.ceil(32.0 * (hi - lo) / _QUAD_HALFWIDTH) + 1),
-                 np.asarray(points)]
-        if lo < 0.0 < hi:
-            graded = 10.0 ** -np.arange(1.0, 14.0)
-            knots.append(np.concatenate([-graded, graded]))
-        mesh = np.unique(np.concatenate(knots))
-        mesh = mesh[(mesh >= lo) & (mesh <= hi)]
-        a, b = mesh[:-1], mesh[1:]
-        half = 0.5 * (b - a)
-        t = 0.5 * (a + b)[:, None] + half[:, None] * self._NODES[None, :]
-        log_vals = log_phi(self.x - t) + log_g(self.prior, t)
-        # H is a ratio, so the integrand is scaled by its max: no underflow
-        self._shift = float(log_vals.max())
-        vals = np.exp(log_vals - self._shift)
-        self.mesh = mesh
-        self.cum = np.concatenate([[0.0], np.cumsum((vals * self._WEIGHTS).sum(axis=1) * half)])
-        self.total = float(self.cum[-1])
-
-    def cdf(self, u: float) -> float:
-        """H(u) = psi(x, u) / psi(x), clipped to [0, 1]."""
-        u = float(u)
-        if u <= self.mesh[0]:
-            return 0.0
-        if u >= self.mesh[-1]:
-            return 1.0
-        k = int(np.searchsorted(self.mesh, u)) - 1
-        a = self.mesh[k]
-        half = 0.5 * (u - a)
-        t = 0.5 * (u + a) + half * self._NODES
-        part = float((np.exp(log_phi(self.x - t) + log_g(self.prior, t) - self._shift)
-                      * self._WEIGHTS).sum()) * half
-        return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
-
-    def quantile(self, tau: float, iters: int = 60) -> float:
-        """Generalized inverse of H by monotone bisection."""
-        lo, hi = float(self.mesh[0]), float(self.mesh[-1])
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= tau:
-                hi = mid
+        out = np.empty(x.shape)
+        for j, (table, uu) in enumerate(zip(slab_tables(prior, x.ravel()), u.ravel())):
+            h = table.cdf(uu) if uu - _QUAD_HALFWIDTH >= table.mesh[0] else 0.0
+            if h > 0.0:
+                out.flat[j] = table.log_psi + math.log(h)
             else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-
-def _quad_moment_ratio(prior: SlabPrior, x: np.ndarray, power: int):
-    """int t^power phi(x-t) g(t) dt / psi(x) by quadrature, elementwise."""
-    lpsi = np.broadcast_to(log_psi(prior, x), x.shape)
-    out = [_quad_moment(prior, float(xx), power, float(lp))
-           for xx, lp in zip(x.ravel(), lpsi.ravel())]
-    return np.array(out).reshape(x.shape)
+                mesh = _mesh(uu - _QUAD_HALFWIDTH, uu, (0.0,), graded_at=(0.0, uu))
+                _, vals, shift, _ = _panel_quadrature(prior, table.x, mesh)
+                out.flat[j] = shift + math.log(float(vals.sum()))
+    return out if np.ndim(out) else float(out)
 
 
 def posterior_shrinkage(prior: SlabPrior, x):
@@ -393,7 +365,7 @@ def posterior_shrinkage(prior: SlabPrior, x):
     elif prior.family is SlabFamily.GAUSSIAN:
         out = x * (a * a) / (1.0 + a * a)
     else:
-        out = _quad_moment_ratio(prior, x, 1)
+        out = _table_values(prior, x, "mean")
     return out if np.ndim(out) else float(out)
 
 
@@ -402,10 +374,7 @@ def zeta(prior: SlabPrior, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("zeta requires finite arguments")
-    if prior.family in (SlabFamily.LAPLACE, SlabFamily.GAUSSIAN):
-        out = posterior_shrinkage(prior, x) * np.exp(log_psi(prior, x))
-    else:
-        out = _scalar_map(lambda xx: _quad_moment(prior, xx, 1), x)
+    out = posterior_shrinkage(prior, x) * np.exp(log_psi(prior, x))
     return out if np.ndim(out) else float(out)
 
 
@@ -418,5 +387,5 @@ def second_moment_ratio(prior: SlabPrior, x):
         m = x * (a * a) / tau2
         out = m * m + (a * a) / tau2
     else:
-        out = _quad_moment_ratio(prior, x, 2)
+        out = _table_values(prior, x, "second_moment")
     return out if np.ndim(out) else float(out)

@@ -102,6 +102,25 @@ def test_run_table_identity_errors_small(tiny_table):
     assert table.identity_mean_err < 1e-10
 
 
+def test_identity_errors_finite_where_psi_underflows():
+    # psi(1000) underflows the linear domain for the Laplace slab, so the
+    # ratio zeta / exp(log psi) would be 0 / 0
+    x = np.array([1000.0, 0.4, -2.0, 3.5])
+    post = fit(x, complexity_prior(4, 0.1), laplace_slab(), quantiles=False)
+    dim_err, mean_err = harness._identity_errors(post)
+    assert math.isfinite(dim_err) and dim_err <= 1e-10
+    assert math.isfinite(mean_err) and mean_err <= 1e-10
+
+
+def test_run_table_propagates_nan_identity_gap(monkeypatch):
+    monkeypatch.setattr(harness, "_identity_errors", lambda post: (0.0, math.nan))
+    config = ExperimentConfig(n=20, pn_grid=(2,), amplitudes=(3.0,), replications=2,
+                              estimators=("PM1", "EBM"), seed=3)
+    table = run_table(config)
+    assert table.identity_dim_err == 0.0
+    assert math.isnan(table.identity_mean_err)
+
+
 def test_run_table_deterministic_across_workers(tiny_table):
     config, serial = tiny_table
     import dataclasses

@@ -164,10 +164,11 @@ def test_expected_dimension_identity_large_n():
     assert abs(post.inclusion_prob.sum() - expected_dim) <= 1e-8
 
 
-def test_mean_identity():
+@pytest.mark.parametrize("slab", [laplace_slab(), student_slab(3.0), exp_power_slab(0.5)],
+                         ids=str)
+def test_mean_identity(slab):
     rng = np.random.default_rng(17)
     x = rng.normal(scale=2.0, size=30)
-    slab = laplace_slab()
     post = fit(x, betabin_power_prior(30, 0.5), slab, quantiles=False)
     assert np.allclose(
         post.mean, post.inclusion_prob * posterior_shrinkage(slab, x), atol=1e-12
@@ -212,16 +213,6 @@ def test_large_signal_saturation():
     x = np.array([12.0, -11.0, 10.5, 13.0, -10.0, 11.5])
     post = fit(x, complexity_prior(6, 0.1), laplace_slab())
     assert post.inclusion_prob.sum() >= 0.99 * 6
-
-
-def test_strategies_agree_end_to_end():
-    rng = np.random.default_rng(29)
-    x = rng.normal(scale=2.0, size=70)
-    prior = complexity_prior(70, 0.1)
-    a = fit(x, prior, laplace_slab(), strategy="schoolbook", quantiles=False)
-    b = fit(x, prior, laplace_slab(), strategy="divide-and-conquer", quantiles=False)
-    assert a.log_partition == pytest.approx(b.log_partition, abs=1e-10)
-    assert np.allclose(a.inclusion_prob, b.inclusion_prob, atol=1e-10)
 
 
 # -- marginal cdf / quantiles ---------------------------------------------------------
@@ -391,4 +382,35 @@ def test_eb_weight_maximizes_marginal_likelihood():
 
 
 def test_eb_weight_single_observation():
-    assert eb_binomial_weight(np.array([3.0]), laplace_slab()) == 1.0
+    # the search interval [min(1/n, 1 - 1e-6), 1 - 1e-6] collapses to its top
+    x = np.array([3.0])
+    alpha = eb_binomial_weight(x, laplace_slab())
+    assert alpha == 1.0 - 1e-6
+    post = fit(x, binomial_prior(1, alpha), laplace_slab())
+    assert np.all(np.isfinite(post.inclusion_prob)) and np.isfinite(post.median[0])
+
+
+# -- slab tables ----------------------------------------------------------------------
+
+
+def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
+    import scipy.integrate
+
+    from spikeslab import slabs
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    built = []
+    init = slabs.SlabCdfTable.__init__
+
+    def counting_init(self, prior, x):
+        built.append(x)
+        init(self, prior, x)
+
+    monkeypatch.setattr(slabs.SlabCdfTable, "__init__", counting_init)
+    x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2])
+    post = fit(x, complexity_prior(6, 0.1), student_slab(3.0), quantiles=True)
+    assert sorted(built) == sorted(set(x.tolist()))
+    assert np.all(np.isfinite(post.credible_hi))

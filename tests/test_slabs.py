@@ -273,6 +273,48 @@ def test_quadrature_error_carries_estimate():
     assert "0.125" in str(err) or "1.250e-01" in str(err)
 
 
+def test_partial_psi_left_of_table_window():
+    # u lies below, or within 13 of the left end of, the window x +/- 13 of
+    # the panel table, so the integral runs over [u - 13, u] instead; the
+    # reference values are adaptive quadrature at relative tolerance 1e-13
+    for u, ref in ((-20.0, -214.72849752012755), (-12.9, -95.77834018560463)):
+        val = log_psi_partial(student_slab(3.0), 0.0, u)
+        assert np.isfinite(val)
+        assert val == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("scale,x,u", [(0.3, 1e3, 0.0), (0.3, 1e3, 35.0), (1e-3, 0.0, -0.1)])
+def test_partial_psi_steep_light_slab_matches_gaussian(scale, x, u):
+    # exp(-(t/s)^2) is the Gaussian slab of std s / sqrt(2); psi(x, u) / psi(x)
+    # underflows at these u, and the integrand rises steeply toward u
+    gauss = gaussian_slab(scale / math.sqrt(2.0))
+    assert log_psi_partial(exp_power_slab(2.0, scale), x, u) == pytest.approx(
+        log_psi_partial(gauss, x, u), rel=1e-10
+    )
+
+
+def test_unresolved_panel_table_raises_quadrature_error():
+    # a Student slab of scale 1e-15 is narrower than the finest knots at 0
+    with pytest.raises(QuadratureError) as info:
+        log_psi(student_slab(3.0, scale=1e-15), 0.0)
+    assert info.value.achieved_error > 0.0
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [student_slab(3.0, s) for s in (1e-3, 1.0, 1e3)]
+    + [exp_power_slab(a, s) for a in (0.5, 1.5, 2.0) for s in (1e-3, 1.0, 1e3)],
+    ids=str,
+)
+def test_panel_tables_resolve_far_tails_at_extreme_scales(prior):
+    # no QuadratureError and finite, correctly signed answers for |x| up to 1e4
+    x = np.array([1e2, -1e2, 1e3, -1e3, 1e4])
+    assert np.all(np.isfinite(log_psi(prior, x)))
+    m = posterior_shrinkage(prior, x)
+    assert np.all(np.sign(m) == np.sign(x)) and np.all(np.abs(m) < np.abs(x))
+    assert np.all(second_moment_ratio(prior, x) >= m * m)
+
+
 # -- property tests ----------------------------------------------------------------
 
 
