@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, ndtri
+from scipy.special import logsumexp
 
 from .dimension import DimensionFamily, DimensionPrior
 from .logpoly import inclusion_log_numerators, product_of_linear_factors
@@ -28,13 +27,13 @@ from .slabs import (
     log_psi,
     log_psi_partial,
     posterior_shrinkage,
+    slab_cdf_at_zero,
+    slab_quantile,
     slab_tables,
+    table_quantiles,
 )
 
 DEFAULT_LEVELS = (0.025, 0.975)
-
-_BRACKET = 40.0  # Laplace quantile bracket half-width around each observation
-_BISECT_ITERS = 40  # 80 / 2^40 < 1e-10 absolute on the quantile
 
 
 @dataclass(frozen=True)
@@ -130,13 +129,12 @@ class Posterior:
             return None
         return dict(zip(idx.tolist(), slab_tables(self.slab, self.x[idx])))
 
-    def _slab_cdf(self, idx, u, tables):
-        """H(u) for the coordinates idx, from their tables or the cached
-        log psi(x)."""
-        idx, u = np.broadcast_arrays(idx, u)
+    def _slab_cdf_at_zero(self, idx, tables):
+        """H(0) for the coordinates idx: the tables' cumulative sum at the
+        knot 0, or the closed form."""
         if tables is not None:
-            return np.array([tables[i].cdf(v) for i, v in zip(idx, u)])
-        return np.exp(log_psi_partial(self.slab, self.x[idx], u) - self._log_psi[idx])
+            return np.array([tables[i].cdf_at_zero for i in idx])
+        return slab_cdf_at_zero(self.slab, self.x[idx])
 
     def _slab_quantile(self, idx, tau, tables):
         """Generalized inverse of H for tau in (0, 1); +/-inf outside."""
@@ -146,23 +144,10 @@ class Posterior:
         if not np.any(inside):
             return out
         ii, ti = idx[inside], tau[inside]
-        if self.slab.family is SlabFamily.GAUSSIAN:
-            # the slab posterior is N(m, sd^2): invert it exactly
-            a = self.slab.scale
-            tau2 = 1.0 + a * a
-            out[inside] = self.x[ii] * (a * a) / tau2 + a / np.sqrt(tau2) * ndtri(ti)
-            return out
         if tables is not None:
-            out[inside] = [tables[i].quantile(t) for i, t in zip(ii, ti)]
-            return out
-        lo = self.x[ii] - _BRACKET
-        hi = self.x[ii] + _BRACKET
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            ge = self._slab_cdf(ii, mid, None) >= ti
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        out[inside] = 0.5 * (lo + hi)
+            out[inside] = table_quantiles([tables[i] for i in ii], ti)
+        else:
+            out[inside] = slab_quantile(self.slab, self.x[ii], ti)
         return out
 
     def marginal_cdf(self, i: int, u: float) -> float:
@@ -175,15 +160,21 @@ class Posterior:
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            idx = np.array([i])
-            val += q * float(self._slab_cdf(idx, u, self._tables(idx))[0])
+            tables = self._tables(np.array([i]))
+            if tables is not None:
+                val += q * tables[i].cdf(u)
+            else:
+                val += q * float(np.exp(log_psi_partial(self.slab, self.x[i], u)
+                                        - self._log_psi[i]))
         return float(min(max(val, 0.0), 1.0))
 
     def marginal_quantile(self, i: int, level: float) -> float:
-        """Generalized inverse of the marginal cdf; the atom at zero is
-        handled analytically, the slab part exactly (Gaussian), through the
-        coordinate's panel table (Student, exponential power) or by monotone
-        bisection (Laplace)."""
+        """Generalized inverse of the marginal cdf.  The atom at zero is
+        handled analytically and the slab part is inverted exactly: the
+        Gaussian slab posterior by ndtri, the Laplace one, a two-piece normal
+        mixture split at 0, by ndtri_exp on the piece that holds the level,
+        and the coordinate's panel table (Student, exponential power) by
+        Newton steps inside the panel that holds the level."""
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
@@ -193,7 +184,7 @@ class Posterior:
     def _quantile_vec(self, levels: np.ndarray, idx, tables) -> np.ndarray:
         q = self.inclusion_prob[idx]
         out = np.zeros(levels.shape)
-        h0 = np.where(q > 0.0, self._slab_cdf(idx, 0.0, tables), 0.5)
+        h0 = np.where(q > 0.0, self._slab_cdf_at_zero(idx, tables), 0.5)
         atom_lo = q * h0
         atom_hi = atom_lo + (1.0 - q)
         below = levels <= atom_lo
@@ -265,6 +256,10 @@ def eb_binomial_weight(x, slab: SlabPrior) -> float:
     lo = min(1.0 / n, hi)
     if lo >= hi:  # n = 1 corner
         return hi
+    # imported here: scipy.optimize loads scipy.linalg, sparse and spatial,
+    # about 25 MB that a process fitting no empirical-Bayes weight never needs
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(neg_loglik, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-8})
     best = float(res.x)

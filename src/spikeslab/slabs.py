@@ -13,6 +13,13 @@ forms evaluated on the log scale (log-Phi via erfc keeps the e^{a x} *
 Phi(-x - a) products finite for large |x|).  Student and exponential-power
 slabs, and the Laplace second moment, come from one panel Gauss-Legendre
 table per observation (SlabCdfTable).
+
+The slab cdf H(u) = psi(x, u) / psi(x) is inverted exactly, with no
+bisection: the Gaussian slab posterior is normal; the Laplace one is a
+two-piece mixture of normals split at 0, inverted by one ndtri_exp call on
+the piece that holds the level (slab_quantile); a panel table is inverted
+inside the one panel that holds the level, by safeguarded Newton steps
+batched over every coordinate of a call (table_quantiles).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -189,13 +196,21 @@ def _mesh(lo: float, hi: float, points, graded_at) -> np.ndarray:
     return mesh[(mesh >= lo) & (mesh <= hi)]
 
 
-def _panel_rule(prior: SlabPrior, x: float, a, b):
+def _panel_rule(prior: SlabPrior, x, a, b):
     """Nodes t, log integrand log phi(x - t) + log g(t) and weights of the
-    16-point Gauss-Legendre rule on each panel [a, b], one row per panel."""
+    16-point Gauss-Legendre rule on each panel [a, b], one row per panel;
+    x is one observation or one per panel."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     half = 0.5 * (b - a)
     t = 0.5 * (a + b)[:, None] + half[:, None] * _NODES
-    return t, log_phi(x - t) + log_g(prior, t), half[:, None] * _WEIGHTS
+    return t, log_phi(np.reshape(x, (-1, 1)) - t) + log_g(prior, t), half[:, None] * _WEIGHTS
+
+
+def _partial_mass(prior: SlabPrior, x, a, u, shift):
+    """The rule for the integral of exp(-shift) phi(x - t) g(t) over each
+    [a, u]; x and shift are scalars or one per interval."""
+    _, log_f, w = _panel_rule(prior, x, a, u)
+    return (np.exp(log_f - np.reshape(shift, (-1, 1))) * w).sum(axis=1)
 
 
 def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
@@ -231,9 +246,10 @@ class SlabCdfTable:
     rule has not converged (see _panel_quadrature).  Built once per
     observation, the table gives log psi(x), the slab-conditional mean
     zeta/psi and second moment, the slab conditional cdf
-    H(u) = psi(x, u) / psi(x) and its inverse, and `error`, the refinement
-    estimate.  The integrand is scaled by its largest value, so psi and the
-    moments stay finite when psi underflows the linear domain.
+    H(u) = psi(x, u) / psi(x), its value `cdf_at_zero` at the knot 0, its
+    exact inverse (table_quantiles), and `error`, the refinement estimate.
+    The integrand is scaled by its largest value, so psi and the moments
+    stay finite when psi underflows the linear domain.
     """
 
     def __init__(self, prior: SlabPrior, x: float):
@@ -247,6 +263,10 @@ class SlabCdfTable:
         self.log_psi = self._shift + math.log(self.total)
         self.mean = float((vals * t).sum()) / self.total
         self.second_moment = float((vals * t * t).sum()) / self.total
+        # 0 is a knot whenever it lies in the window, so H(0) is a cumulative
+        # sum: the last one at a knot <= 0, or 0 when the window is positive
+        k = int(np.searchsorted(self.mesh, 0.0, side="right"))
+        self.cdf_at_zero = float(self.cum[k - 1]) / self.total if k else 0.0
 
     def cdf(self, u: float) -> float:
         """H(u) = psi(x, u) / psi(x), clipped to [0, 1]."""
@@ -256,20 +276,70 @@ class SlabCdfTable:
         if u >= self.mesh[-1]:
             return 1.0
         k = int(np.searchsorted(self.mesh, u)) - 1
-        _, log_f, w = _panel_rule(self.prior, self.x, self.mesh[k], u)
-        part = float((np.exp(log_f - self._shift) * w).sum())
+        part = float(_partial_mass(self.prior, self.x, self.mesh[k], u, self._shift)[0])
         return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
 
-    def quantile(self, tau: float) -> float:
-        """Generalized inverse of H by monotone bisection."""
-        lo, hi = float(self.mesh[0]), float(self.mesh[-1])
-        for _ in range(60):  # 2^-60 of the window is below float resolution
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= tau:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    def quantile(self, tau):
+        """Generalized inverse of H at tau in (0, 1), scalar or array; see
+        table_quantiles."""
+        tau = np.asarray(tau, dtype=float)
+        out = table_quantiles([self] * tau.size, tau.ravel()).reshape(tau.shape)
+        return out if out.ndim else float(out)
+
+
+def table_quantiles(tables, tau) -> np.ndarray:
+    """Generalized inverse of H, inf {u : H(u) >= tau}, for each table of
+    the sequence at its entry of tau in (0, 1), all tables at once.
+
+    The level lies in the first panel whose cumulative sum reaches
+    tau * total, found over the stacked sums of all the tables, so panels of
+    zero mass are passed over.  Inside that panel, Newton steps solve
+    "rule on [panel start, u] = tau * total - mass before the panel" with the
+    integrand as the derivative; each step is one 16-point rule for every
+    coordinate still moving, and a step that leaves the bracket of the root
+    bisects it instead.  A coordinate stops when its step is within the
+    float resolution of its panel, or its residual within the rounding of
+    the log integrand and the cumulative sums.  All tables share one slab
+    prior.
+    """
+    tau = np.asarray(tau, dtype=float)
+    prior = tables[0].prior
+    sizes = np.array([t.cum.size for t in tables])
+    starts = np.cumsum(sizes) - sizes
+    cum = np.concatenate([t.cum for t in tables])
+    mesh = np.concatenate([t.mesh for t in tables])
+    x = np.array([t.x for t in tables])
+    shift = np.array([t._shift for t in tables])
+    target = tau * np.array([t.total for t in tables])
+    # knot k ends the panel: the first knot whose cumulative sum reaches the
+    # target (cum starts at 0 < target and ends at total >= target)
+    below = np.add.reduceat(cum < np.repeat(target, sizes), starts)
+    k = starts + np.clip(below, 1, sizes - 1)
+    start, hi = mesh[k - 1], mesh[k]
+    lo = start.copy()
+    need = target - cum[k - 1]
+    u = start + (hi - start) * np.clip(need / (cum[k] - cum[k - 1]), 0.0, 1.0)
+    eps = np.finfo(float).eps
+    resolution = 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+    # the integrand carries the rounding of its log, eps * |shift| relative
+    slack = 4.0 * eps * (1.0 + np.abs(shift)) * target
+    m = np.arange(tau.size)  # the coordinates still moving
+    # bisection alone reaches the float resolution of a panel in 64 steps
+    for _ in range(64):
+        um = u[m]
+        miss = _partial_mass(prior, x[m], start[m], um, shift[m]) - need[m]
+        dens = np.exp(log_phi(x[m] - um) + log_g(prior, um) - shift[m])
+        lo[m] = np.where(miss < 0.0, um, lo[m])
+        hi[m] = np.where(miss < 0.0, hi[m], um)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = um - miss / dens
+        step = np.where((step >= lo[m]) & (step <= hi[m]), step, 0.5 * (lo[m] + hi[m]))
+        u[m] = step
+        done = (np.abs(step - um) <= resolution[m]) | (np.abs(miss) <= slack[m])
+        m = m[~done]
+        if not m.size:
+            break
+    return u
 
 
 def slab_tables(prior: SlabPrior, x: np.ndarray) -> list[SlabCdfTable]:
@@ -287,6 +357,12 @@ def _table_values(prior: SlabPrior, x: np.ndarray, attr: str):
 # ---------------------------------------------------------------------------
 # psi, partial psi, zeta
 # ---------------------------------------------------------------------------
+
+
+def _gaussian_posterior(s: float, x):
+    """Mean and standard deviation of the Gaussian slab posterior N(m, sd^2)."""
+    tau2 = 1.0 + s * s
+    return x * (s * s) / tau2, s / math.sqrt(tau2)
 
 
 def log_psi(prior: SlabPrior, x):
@@ -326,13 +402,15 @@ def log_psi_partial(prior: SlabPrior, x, u):
         c = math.log(a / 2.0) + 0.5 * a * a
         # mass of the negative half-line up to min(u, 0)
         neg = c + a * x + log_ndtr(np.minimum(u, 0.0) - x - a)
-        # mass of (0, u] for u > 0
-        pos = c - a * x + _log_diff_exp(log_ndtr(np.maximum(u, 0.0) - x + a), log_ndtr(a - x))
+        # mass of (0, u] for u > 0: Phi(v - x + a) - Phi(a - x), or the same
+        # difference of upper tails where a > x, before both Phi round to 1
+        v = np.maximum(u, 0.0)
+        lower = _log_diff_exp(log_ndtr(v - x + a), log_ndtr(a - x))
+        upper = _log_diff_exp(log_ndtr(x - a), log_ndtr(x - a - v))
+        pos = c - a * x + np.where(a > x, upper, lower)
         out = np.where(u > 0.0, np.logaddexp(neg, pos), neg)
     elif prior.family is SlabFamily.GAUSSIAN:
-        tau2 = 1.0 + a * a
-        m = x * (a * a) / tau2
-        sd = a / math.sqrt(tau2)
+        m, sd = _gaussian_posterior(a, x)
         out = log_psi(prior, x) + log_ndtr((u - m) / sd)
     else:
         out = np.empty(x.shape)
@@ -345,6 +423,51 @@ def log_psi_partial(prior: SlabPrior, x, u):
                 _, vals, shift, _ = _panel_quadrature(prior, table.x, mesh)
                 out.flat[j] = shift + math.log(float(vals.sum()))
     return out if np.ndim(out) else float(out)
+
+
+def _laplace_halves(a: float, x):
+    """(log Phi(-x - a), L - a x, L + a x) for the Laplace slab of rate a.
+
+    The slab posterior of x is N(x + a, 1) below 0 with log weight
+    L- = a x + log Phi(-x - a) and N(x - a, 1) above 0 with log weight
+    L+ = -a x + log Phi(x - a); L = logaddexp(L-, L+).  Both shifted sums
+    are formed without the large terms +/- a x, so no cancellation.
+    """
+    neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
+    return neg, np.logaddexp(neg, pos - 2.0 * a * x), np.logaddexp(neg + 2.0 * a * x, pos)
+
+
+def slab_cdf_at_zero(prior: SlabPrior, x):
+    """H(0) = psi(x, 0) / psi(x) in closed form (Laplace and Gaussian slabs)."""
+    x = np.asarray(x, dtype=float)
+    if prior.family is SlabFamily.LAPLACE:
+        neg, l_minus, _ = _laplace_halves(prior.scale, x)
+        return np.exp(neg - l_minus)
+    if prior.family is SlabFamily.GAUSSIAN:
+        m, sd = _gaussian_posterior(prior.scale, x)
+        return ndtr(-m / sd)
+    raise ValueError(f"no closed-form slab cdf for the {prior.family.value} slab")
+
+
+def slab_quantile(prior: SlabPrior, x, tau):
+    """Inverse of H at tau in (0, 1) in closed form (Laplace and Gaussian).
+
+    The Gaussian slab posterior is N(m, sd^2): m + sd ndtri(tau).  The
+    Laplace one is the two-piece mixture of _laplace_halves; for tau <= H(0)
+    u = x + a + ndtri_exp(log tau + L - a x), else
+    u = x - a - ndtri_exp(log(1 - tau) + L + a x).
+    """
+    x, tau = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(tau, dtype=float))
+    if prior.family is SlabFamily.LAPLACE:
+        a = prior.scale
+        neg, l_minus, l_plus = _laplace_halves(a, x)
+        below = tau <= np.exp(neg - l_minus)
+        return np.where(below, x + a + ndtri_exp(np.log(tau) + l_minus),
+                        x - a - ndtri_exp(np.log1p(-tau) + l_plus))
+    if prior.family is SlabFamily.GAUSSIAN:
+        m, sd = _gaussian_posterior(prior.scale, x)
+        return m + sd * ndtri(tau)
+    raise ValueError(f"no closed-form slab quantile for the {prior.family.value} slab")
 
 
 def posterior_shrinkage(prior: SlabPrior, x):

@@ -304,6 +304,55 @@ def test_gaussian_slab_quantiles_far_tails(xv):
         assert post.marginal_cdf(0, v - d) <= level <= post.marginal_cdf(0, v + d)
 
 
+@pytest.mark.parametrize("rate", [1e-3, 1e-1, 1.0, 10.0, 1e2])
+@pytest.mark.parametrize("xv", [1e2, -1e2, 1e3, -1e3, 1e4])
+def test_laplace_slab_quantiles_far_tails(xv, rate):
+    # the slab posterior is N(x + a, 1) below 0 and N(x - a, 1) above it; a
+    # fixed bracket around x cannot reach x - a once the rate a is large
+    post = fit(np.array([xv, 0.3]), complexity_prior(2, 0.1), laplace_slab(rate))
+    for field in ("median", "credible_lo", "credible_hi"):
+        assert not np.any(np.isnan(getattr(post, field)))
+    for level, v in ((0.5, post.median[0]), (0.025, post.credible_lo[0]),
+                     (0.975, post.credible_hi[0])):
+        d = 1e-6 * max(1.0, abs(v))
+        assert post.marginal_cdf(0, v - d) <= level <= post.marginal_cdf(0, v + d)
+
+
+def test_laplace_median_far_below_the_observation():
+    # at rate 50 the slab posterior of x = 100 is N(50, 1) on the positive side
+    post = fit(np.array([100.0, 0.3]), complexity_prior(2, 0.1), laplace_slab(50.0))
+    assert post.median[0] == pytest.approx(50.0, abs=1e-9)
+
+
+def _table_fit_and_oracle(slab):
+    rng = np.random.default_rng(107)
+    n = 8
+    x = np.concatenate([rng.normal(scale=2.0, size=n - 2), [12.0, -30.0]])
+    prior = complexity_prior(n, 0.8, 2.0)
+    return fit(x, prior, slab), brute(x, prior, slab)
+
+
+@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(0.5)], ids=str)
+def test_table_median_inverts_brute_force_cdf(slab):
+    # the oracle's cdf is adaptive quadrature at relative tolerance 1e-11 over
+    # x +/- 13, which holds the slab posterior of these heavy slabs (a lighter
+    # one pulls it toward 0: at x = -30 exp-power(1.5) peaks near -22.8)
+    post, oracle = _table_fit_and_oracle(slab)
+    for i in range(post.x.size):
+        if post.median[i] != 0.0:
+            assert oracle.marginal_cdf(i, post.median[i]) == pytest.approx(0.5, abs=1e-9)
+
+
+# the oracle's grid median integrates by the trapezoid rule, whose error at the
+# cusp of exp(-|t|^0.5) at 0 moves a median near 0.2 by 7e-6; the
+# exp-power(0.5) medians are checked against the oracle's cdf above
+@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(1.5)], ids=str)
+def test_table_median_matches_brute_force(slab):
+    post, oracle = _table_fit_and_oracle(slab)
+    for i in range(post.x.size):
+        assert post.median[i] == pytest.approx(oracle.median(i), abs=1e-6)
+
+
 def test_light_quadrature_slab_matches_gaussian_far_from_zero():
     # exp-power with alpha = 2 and scale s is the Gaussian slab with std
     # s / sqrt(2); at |x| >= 40 its slab posterior sits near the origin and
@@ -414,3 +463,35 @@ def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
     post = fit(x, complexity_prior(6, 0.1), student_slab(3.0), quantiles=True)
     assert sorted(built) == sorted(set(x.tolist()))
     assert np.all(np.isfinite(post.credible_hi))
+
+
+@pytest.mark.parametrize(
+    "slab",
+    [laplace_slab(), gaussian_slab(), student_slab(3.0), exp_power_slab(0.5),
+     exp_power_slab(1.5)],
+    ids=str,
+)
+def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
+    # the quantile phase inverts the slab cdf exactly: no table cdf and no
+    # partial psi is evaluated during a fit
+    from spikeslab import posterior, slabs
+
+    calls = []
+    cdf = slabs.SlabCdfTable.cdf
+    partial = posterior.log_psi_partial
+
+    def counting_cdf(self, u):
+        calls.append("cdf")
+        return cdf(self, u)
+
+    def counting_partial(*args):
+        calls.append("log_psi_partial")
+        return partial(*args)
+
+    monkeypatch.setattr(slabs.SlabCdfTable, "cdf", counting_cdf)
+    monkeypatch.setattr(posterior, "log_psi_partial", counting_partial)
+    x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
+    post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
+    assert calls == []
+    for field in ("median", "credible_lo", "credible_hi"):
+        assert np.all(np.isfinite(getattr(post, field)))

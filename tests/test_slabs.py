@@ -21,6 +21,8 @@ from spikeslab import (
     zeta,
 )
 
+from spikeslab.slabs import SlabCdfTable, table_quantiles
+
 from _oracle import make_log_density, quad_psi, quad_psi_partial, quad_zeta
 
 ALL_SLABS = [
@@ -168,6 +170,15 @@ def test_partial_psi_matches_quadrature_oracle(prior):
         )
 
 
+@pytest.mark.parametrize("u", [1e-3, 1e-2, 5e-2, 1.0])
+def test_laplace_partial_psi_above_zero_at_large_rate(u):
+    # a - x = 45.6: Phi(u - x + a) and Phi(a - x) both round to 1, so the mass
+    # of (0, u] is the difference of the upper tails
+    prior = laplace_slab(50.0)
+    expected = math.log(quad_psi_partial(_oracle_density(prior), 4.4, u))
+    assert log_psi_partial(prior, 4.4, u) == pytest.approx(expected, rel=1e-8)
+
+
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
 def test_partial_psi_nondecreasing_in_u(prior):
     u = np.linspace(-6, 6, 41)
@@ -313,6 +324,31 @@ def test_panel_tables_resolve_far_tails_at_extreme_scales(prior):
     m = posterior_shrinkage(prior, x)
     assert np.all(np.sign(m) == np.sign(x)) and np.all(np.abs(m) < np.abs(x))
     assert np.all(second_moment_ratio(prior, x) >= m * m)
+
+
+# -- table inversion ---------------------------------------------------------------
+
+TABLE_SLABS = [student_slab(3.0), exp_power_slab(0.5), exp_power_slab(1.5)]
+LEVELS = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
+
+
+@pytest.mark.parametrize("x", [0.0, 1.3, -4.0, 1e2, -1e3, 1e4])
+@pytest.mark.parametrize("prior", TABLE_SLABS, ids=str)
+def test_table_quantile_inverts_cdf(prior, x):
+    table = SlabCdfTable(prior, x)
+    for tau, u in zip(LEVELS, table.quantile(LEVELS)):
+        assert table.cdf(u) == pytest.approx(tau, rel=1e-11, abs=1e-16)
+    assert table.cdf_at_zero == pytest.approx(table.cdf(0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("prior", TABLE_SLABS, ids=str)
+def test_table_quantiles_batch_matches_single_tables(prior):
+    # one batched inversion over tables of different meshes gives each
+    # table's own answer
+    tables = [SlabCdfTable(prior, x) for x in (0.0, 1.3, -4.0, 1e2, -1e3, 1.3)]
+    tau = np.array([0.5, 1e-6, 0.975, 0.025, 1.0 - 1e-6, 0.3])
+    batch = table_quantiles(tables, tau)
+    assert batch.tolist() == [t.quantile(s) for t, s in zip(tables, tau)]
 
 
 # -- property tests ----------------------------------------------------------------
