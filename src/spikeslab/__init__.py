@@ -9,7 +9,6 @@ from .dimension import (
     complexity_prior,
     custom_prior,
     geometric_prior,
-    log_model_weight,
     poisson_prior,
 )
 from .estimators import LossSpec, dq_loss, hard_threshold, hard_threshold_oracle
@@ -25,8 +24,15 @@ from .harness import (
     run_shrinkage_demo,
     run_table,
 )
-from .logpoly import LogPoly, product_of_linear_factors
-from .posterior import Posterior, PosteriorSummary, eb_binomial_weight, fit
+from .logpoly import product_of_linear_factors
+from .posterior import (
+    Posterior,
+    PosteriorSummary,
+    SlabLayer,
+    eb_binomial_weight,
+    fit,
+    fit_many,
+)
 from .slabs import (
     QuadratureError,
     SlabFamily,

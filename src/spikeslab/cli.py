@@ -79,7 +79,10 @@ def make_parser() -> argparse.ArgumentParser:
     _add_slab_flags(p)
     p.add_argument("--q", type=float, nargs="+", default=[2.0, 1.0])
     p.add_argument("--estimators", nargs="+", default=list(harness.TABLE_ESTIMATORS))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes; the pool runs over replications, each "
+                        "one block of every grid cell, so a one-replication table "
+                        "stays in-process")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 

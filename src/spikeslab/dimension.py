@@ -43,12 +43,6 @@ class DimensionPrior:
         if abs(total) > 1e-10:
             raise ValueError(f"log_pmf is not normalized (log-sum-exp = {total:.3e})")
 
-    def log_model_weight(self, p: int) -> float:
-        """log pi_n(p) - log C(n, p) for a single model size p."""
-        if not 0 <= p <= self.n:
-            raise ValueError(f"model size {p} outside 0..{self.n}")
-        return float(self.log_model_weights()[p])
-
     def log_model_weights(self) -> np.ndarray:
         """Vector of log pi_n(p) - log C(n, p), p = 0..n, via log-gamma."""
         p = np.arange(self.n + 1)
@@ -122,7 +116,3 @@ def geometric_prior(n: int, succ_prob: float) -> DimensionPrior:
 def custom_prior(n: int, log_weights) -> DimensionPrior:
     """User-supplied unnormalized log-weights over {0, ..., n}."""
     return _normalized(n, np.asarray(log_weights, dtype=float), DimensionFamily.CUSTOM, ())
-
-
-def log_model_weight(prior: DimensionPrior, p: int) -> float:
-    return prior.log_model_weight(p)

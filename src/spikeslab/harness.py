@@ -13,12 +13,11 @@ import numpy as np
 
 from . import estimators as est
 from .dimension import DimensionPrior, betabin_power_prior, binomial_prior, complexity_prior
-from .posterior import Posterior, eb_binomial_weight, fit
+from .posterior import Posterior, SlabLayer, fit, fit_many
 from .slabs import (
     SlabPrior,
     gaussian_slab,
     laplace_slab,
-    posterior_shrinkage,
     second_moment_ratio,
 )
 
@@ -54,6 +53,8 @@ class ExperimentConfig:
     qs: tuple = (2.0, 1.0)
     seed: int = 0
     placement: str = "tail"
+    # worker processes for run_table: the pool maps replications, each one
+    # block of every grid cell, and runs only for more than one replication
     threads: int | None = None
     noise_scale: float = 1.0  # test hook; 0 gives noiseless observations
 
@@ -121,115 +122,119 @@ def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=(),
     return theta0, x
 
 
-def _identity_errors(post: Posterior) -> tuple[float, float]:
-    """Dual-path identity checks: sum of inclusion probabilities against the
-    expected dimension from the pmf, and the mean against q * zeta / psi,
-    the ratio taken from posterior_shrinkage so it stays finite where psi
-    underflows."""
-    expected_dim = float(
-        np.sum(np.arange(post.dim_log_pmf.size) * np.exp(post.dim_log_pmf))
-    )
-    dim_err = abs(float(post.inclusion_prob.sum()) - expected_dim)
-    ratio = posterior_shrinkage(post.slab, post.x)
-    mean_err = float(np.max(np.abs(post.mean - post.inclusion_prob * ratio)))
-    return dim_err, mean_err
+def _replication_block(spec: SignalSpec, seed: int, reps: int, stream_key=()):
+    """theta0 and x of replications 0, ..., reps - 1 of spec, one row each."""
+    data = [generate_data(spec, seed, rep, stream_key) for rep in range(reps)]
+    return np.array([theta for theta, _ in data]), np.array([x for _, x in data])
 
 
-def _table_rep(config: ExperimentConfig, cell_index: int, p_n: int,
-               amplitude: float, rep: int):
-    """One replication of one grid cell: losses for every estimator."""
-    spec = SignalSpec(config.n, p_n, amplitude, config.placement)
-    theta0, x = generate_data(spec, config.seed, rep, stream_key=(cell_index,),
-                              noise_scale=config.noise_scale)
+def _identity_errors(posts: list[Posterior], shrinkage: np.ndarray) -> tuple[float, float]:
+    """Largest dual-path identity gaps over the posteriors of one block:
+    sum of inclusion probabilities against the expected dimension from the
+    pmf, and the mean against q times the block's shrinkage zeta/psi, which
+    the slab layer takes on the log scale so it stays finite where psi
+    underflows.  A NaN gap propagates."""
+    q = np.array([post.inclusion_prob for post in posts])
+    pmf = np.exp(np.array([post.dim_log_pmf for post in posts]))
+    expected_dim = np.sum(np.arange(pmf.shape[1]) * pmf, axis=1)
+    dim_err = np.max(np.abs(q.sum(axis=1) - expected_dim))
+    mean = np.array([post.mean for post in posts])
+    return float(dim_err), float(np.max(np.abs(mean - q * shrinkage)))
+
+
+def _grid(config: ExperimentConfig) -> list[tuple[int, float]]:
+    return [(p_n, float(a)) for p_n in config.pn_grid for a in config.amplitudes]
+
+
+# (mean, median) estimator pairs read off one posterior fit
+_POSTERIOR_ESTIMATORS = (("PM1", "PMed1"), ("PM2", "PMed2"), ("EBM", "EBMed"))
+
+
+def _table_block(config: ExperimentConfig, priors: dict, rep: int):
+    """One replication of every grid cell, fitted as one (cells x n) block:
+    per cell the losses of every estimator, and the block's largest identity
+    gaps.  priors maps PM1 and PM2 to their dimension priors; EBM fits each
+    row under the binomial prior at the row's EB weight."""
+    grid = _grid(config)
+    data = [generate_data(SignalSpec(config.n, p_n, amplitude, config.placement),
+                          config.seed, rep, stream_key=(ci,), noise_scale=config.noise_scale)
+            for ci, (p_n, amplitude) in enumerate(grid)]
+    theta0 = np.array([theta for theta, _ in data])
+    X = np.array([x for _, x in data])
     wanted = set(config.estimators)
+    layer = SlabLayer(config.slab, X)
     estimates = {}
     dim_err = mean_err = 0.0
-
-    def track(post):
-        nonlocal dim_err, mean_err
-        d, m = _identity_errors(post)
+    for mean_name, median_name in _POSTERIOR_ESTIMATORS:
+        if not wanted & {mean_name, median_name}:
+            continue
+        prior = priors.get(mean_name)
+        if prior is None:
+            prior = [binomial_prior(config.n, a) for a in layer.eb_binomial_weights()]
+        posts = layer.fit(prior, quantiles=median_name in wanted)
+        d, m = _identity_errors(posts, layer.shrinkage)
         dim_err = float(np.maximum(dim_err, d))  # NaN propagates
         mean_err = float(np.maximum(mean_err, m))
-
-    if wanted & {"PM1", "PMed1"}:
-        post = fit(x, complexity_prior(config.n, config.kappa, config.b),
-                   config.slab, quantiles="PMed1" in wanted)
-        track(post)
-        if "PM1" in wanted:
-            estimates["PM1"] = post.mean
-        if "PMed1" in wanted:
-            estimates["PMed1"] = post.median
-    if wanted & {"PM2", "PMed2"}:
-        post = fit(x, betabin_power_prior(config.n, config.kappa),
-                   config.slab, quantiles="PMed2" in wanted)
-        track(post)
-        if "PM2" in wanted:
-            estimates["PM2"] = post.mean
-        if "PMed2" in wanted:
-            estimates["PMed2"] = post.median
-    if wanted & {"EBM", "EBMed"}:
-        alpha = eb_binomial_weight(x, config.slab)
-        post = fit(x, binomial_prior(config.n, alpha), config.slab,
-                   quantiles="EBMed" in wanted)
-        track(post)
-        if "EBM" in wanted:
-            estimates["EBM"] = post.mean
-        if "EBMed" in wanted:
-            estimates["EBMed"] = post.median
+        estimates[mean_name] = [post.mean for post in posts]
+        estimates[median_name] = [post.median for post in posts]
     if "HT" in wanted:
-        estimates["HT"] = est.hard_threshold(x)
+        estimates["HT"] = [est.hard_threshold(x) for x in X]
     if "HTO" in wanted:
-        estimates["HTO"] = est.hard_threshold_oracle(x, max(p_n, 1))
+        estimates["HTO"] = [est.hard_threshold_oracle(x, max(p_n, 1))
+                            for x, (p_n, _) in zip(X, grid)]
 
-    losses = {}
-    for name, theta_hat in estimates.items():
-        for q in config.qs:
-            losses[(name, q)] = est.dq_loss(theta_hat, theta0, est.LossSpec(q))
+    losses = [{} for _ in grid]
+    for name, theta_hats in estimates.items():
+        if name not in wanted:
+            continue
+        for ci, theta_hat in enumerate(theta_hats):
+            for q in config.qs:
+                losses[ci][(name, q)] = est.dq_loss(theta_hat, theta0[ci], est.LossSpec(q))
     return losses, dim_err, mean_err
 
 
 def _table_task(args):
-    config, cell_index, p_n, amplitude, rep = args
+    config, priors, rep = args
     try:
-        return (cell_index, rep, _table_rep(config, cell_index, p_n, amplitude, rep), None)
+        return (rep, _table_block(config, priors, rep), None)
     except Exception as exc:  # surfaced per replication, never averaged over
-        return (cell_index, rep, None, f"{type(exc).__name__}: {exc}")
+        return (rep, None, f"{type(exc).__name__}: {exc}")
 
 
 def run_table(config: ExperimentConfig) -> ResultTable:
-    """Monte Carlo estimator-comparison table over the signal grid."""
-    grid = [(p_n, float(a)) for p_n in config.pn_grid for a in config.amplitudes]
-    tasks = [
-        (config, ci, p_n, amp, rep)
-        for ci, (p_n, amp) in enumerate(grid)
-        for rep in range(config.replications)
-    ]
-    if config.threads and config.threads > 1:
+    """Monte Carlo estimator-comparison table over the signal grid, one
+    task per replication covering every cell."""
+    grid = _grid(config)
+    # one prior of each kind for the whole table, shared by every block
+    priors = {"PM1": complexity_prior(config.n, config.kappa, config.b),
+              "PM2": betabin_power_prior(config.n, config.kappa)}
+    tasks = [(config, priors, rep) for rep in range(config.replications)]
+    if config.threads and config.threads > 1 and len(tasks) > 1:
         # the pool forks its workers from this process: import the EB
         # optimiser's scipy.optimize here once, not in every worker of every
         # table (eb_binomial_weight imports it on first use)
         import scipy.optimize  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            raw = list(pool.map(_table_task, tasks, chunksize=4))
+            raw = list(pool.map(_table_task, tasks))
     else:
         raw = [_table_task(t) for t in tasks]
-    # deterministic ordered reduction, independent of worker scheduling
-    raw.sort(key=lambda r: (r[0], r[1]))
 
+    # deterministic ordered reduction, independent of worker scheduling
     failures = []
-    per_cell = {ci: {} for ci in range(len(grid))}
+    per_cell = [{} for _ in grid]
     dim_err = mean_err = 0.0
-    for ci, rep, payload, error in raw:
+    for rep, payload, error in raw:
         if error is not None:
-            failures.append({"p_n": grid[ci][0], "A": grid[ci][1], "rep": rep,
-                             "error": error})
+            failures.extend({"p_n": p_n, "A": amp, "rep": rep, "error": error}
+                            for p_n, amp in grid)
             continue
         losses, d_err, m_err = payload
         dim_err = float(np.maximum(dim_err, d_err))  # NaN propagates
         mean_err = float(np.maximum(mean_err, m_err))
-        for key, val in losses.items():
-            per_cell[ci].setdefault(key, []).append(val)
+        for ci, cell_losses in enumerate(losses):
+            for key, val in cell_losses.items():
+                per_cell[ci].setdefault(key, []).append(val)
 
     cells = {}
     for ci, (p_n, amp) in enumerate(grid):
@@ -266,11 +271,9 @@ def run_dimension_check(n: int, p_n: int, amplitude: float, M_grid, reps: int,
     dim_prior = dim_prior if dim_prior is not None else complexity_prior(n, 0.1)
     slab = slab if slab is not None else laplace_slab()
     M_grid = sorted(float(M) for M in M_grid)
-    spec = SignalSpec(n, p_n, amplitude, placement)
+    _, X = _replication_block(SignalSpec(n, p_n, amplitude, placement), seed, reps)
     tails = np.zeros(len(M_grid))
-    for rep in range(reps):
-        _, x = generate_data(spec, seed, rep)
-        post = fit(x, dim_prior, slab, quantiles=False)
+    for post in fit_many(X, dim_prior, slab, quantiles=False):
         pmf = np.exp(post.dim_log_pmf)
         for j, M in enumerate(M_grid):
             tails[j] += pmf[int(math.floor(M * p_n)) + 1 :].sum()
@@ -300,14 +303,14 @@ def run_contraction_check(n: int, pn_grid, amplitude: float, reps: int,
     for p_n in pn_grid:
         if not 0 < p_n < n / 2:
             raise ValueError("contraction grid requires 0 < p_n < n/2")
-        spec = SignalSpec(n, p_n, amplitude, placement)
+        theta0, X = _replication_block(SignalSpec(n, p_n, amplitude, placement), seed,
+                                       reps, stream_key=(p_n,))
+        second_moment = second_moment_ratio(slab, X)
         risks = []
-        for rep in range(reps):
-            theta0, x = generate_data(spec, seed, rep, stream_key=(p_n,))
-            post = fit(x, dim_prior, slab, quantiles=False)
-            m2 = post.inclusion_prob * second_moment_ratio(slab, x)
-            risk = float(np.sum(m2 - 2.0 * theta0 * post.mean + theta0**2))
-            risks.append(risk)
+        for post, t0, m2 in zip(fit_many(X, dim_prior, slab, quantiles=False), theta0,
+                                second_moment):
+            risks.append(float(np.sum(post.inclusion_prob * m2 - 2.0 * t0 * post.mean
+                                      + t0**2)))
         avg = float(np.mean(risks))
         rows.append((p_n, avg, avg / (p_n * math.log(n / p_n))))
     ratios = [r[2] for r in rows]
@@ -331,13 +334,12 @@ def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
     loss2 = est.LossSpec(2.0)
     rows = []
     for ai, A in enumerate(A_grid):
+        theta0, X = _replication_block(SignalSpec(n, p_n, A, placement), seed, reps,
+                                       stream_key=(ai,))
         risk = [0.0, 0.0]
-        for rep in range(reps):
-            spec = SignalSpec(n, p_n, A, placement)
-            theta0, x = generate_data(spec, seed, rep, stream_key=(ai,))
-            for k, slab in enumerate(slabs):
-                post = fit(x, dim_prior, slab, quantiles=False)
-                risk[k] += est.dq_loss(post.mean, theta0, loss2)
+        for k, slab in enumerate(slabs):
+            for post, t0 in zip(fit_many(X, dim_prior, slab, quantiles=False), theta0):
+                risk[k] += est.dq_loss(post.mean, t0, loss2)
         lap, gau = risk[0] / reps, risk[1] / reps
         rows.append((A, lap, gau, gau / lap))
     return ShrinkageDemoReport(rows=rows)

@@ -9,6 +9,10 @@ prod_i (phi(X_i) + psi(X_i) Z) with the common factor prod_i phi(X_i)
 divided out, so the engine works with the bounded ratios r_i = psi/phi on
 the log scale.  The reported log partition function is relative to that
 common factor (it cancels in every posterior quantity).
+
+A block of R observation vectors of one length is fitted as one: its slab
+functions are evaluated once (SlabLayer) and each sweep of the polynomial
+layer runs over all R rows at a time (fit_many); fit is the block of one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from scipy.special import logsumexp
 from .dimension import DimensionFamily, DimensionPrior
 from .logpoly import inclusion_log_numerators, product_of_linear_factors
 from .slabs import (
+    SlabCdfTable,
     SlabFamily,
     SlabPrior,
     log_phi,
@@ -64,91 +69,83 @@ def validate_observations(x) -> np.ndarray:
     return x
 
 
+_TABLE_FAMILIES = (SlabFamily.STUDENT, SlabFamily.EXP_POWER)
+
+
+def _slab_tables(slab: SlabPrior, x: np.ndarray):
+    """Panel tables of the 1-d x, one per coordinate and built once per
+    distinct observation; None for the closed-form slab families."""
+    return slab_tables(slab, x) if slab.family in _TABLE_FAMILIES else None
+
+
+def _subset(tables, mask):
+    return None if tables is None else [tables[k] for k in np.flatnonzero(mask)]
+
+
+# -- marginal slab cdf H(u) = psi(x, u) / psi(x), over 1-d arrays of coordinates
+
+
+def _slab_quantile(slab: SlabPrior, x, tables, tau) -> np.ndarray:
+    """Generalized inverse of H at tau for each coordinate; +/-inf outside (0, 1)."""
+    out = np.where(tau <= 0.0, -np.inf, np.inf)
+    inside = (tau > 0.0) & (tau < 1.0)
+    if np.any(inside):
+        if tables is not None:
+            out[inside] = table_quantiles(_subset(tables, inside), tau[inside])
+        else:
+            out[inside] = slab_quantile(slab, x[inside], tau[inside])
+    return out
+
+
+def _marginal_quantiles(slab: SlabPrior, x, tables, q, levels) -> np.ndarray:
+    """Generalized inverse of each coordinate's marginal cdf at its level:
+    the atom of size 1 - q at zero is handled analytically, the slab part is
+    inverted exactly (see Posterior.marginal_quantile)."""
+    out = np.zeros(levels.shape)
+    if tables is not None:
+        h0 = np.array([t.cdf_at_zero for t in tables])
+    else:
+        h0 = slab_cdf_at_zero(slab, x)
+    atom_lo = q * np.where(q > 0.0, h0, 0.5)
+    atom_hi = atom_lo + (1.0 - q)
+    below = levels <= atom_lo
+    above = levels > atom_hi
+    if np.any(below):
+        out[below] = _slab_quantile(slab, x[below], _subset(tables, below),
+                                    levels[below] / q[below])
+    if np.any(above):
+        out[above] = _slab_quantile(slab, x[above], _subset(tables, above),
+                                    (levels[above] - (1.0 - q[above])) / q[above])
+    return out
+
+
+def _medians(slab: SlabPrior, x, tables, q) -> np.ndarray:
+    """Marginal posterior medians; exactly zero where q <= 1/2."""
+    with np.errstate(divide="ignore"):
+        inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
+    upper = _slab_quantile(slab, x, tables, 1.0 - inv2q)
+    lower = _slab_quantile(slab, x, tables, inv2q)
+    return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
+
+
+@dataclass(eq=False, repr=False)
 class Posterior:
-    """Fitted posterior: summary fields plus marginal cdf / quantile access."""
+    """Fitted posterior of one vector of observations: summary fields plus
+    marginal cdf / quantile access.  Built by fit, fit_many or SlabLayer.fit;
+    median and the credible bounds are None when fitted without quantiles."""
 
-    def __init__(self, x, dim_prior: DimensionPrior, slab: SlabPrior,
-                 levels=DEFAULT_LEVELS, quantiles: bool = True):
-        x = validate_observations(x)
-        n = x.size
-        if dim_prior.n != n:
-            raise ValueError(f"dimension prior is over 0..{dim_prior.n} but n = {n}")
-        self.x = x
-        self.slab = slab
-        self.dim_prior = dim_prior
-        self.levels = tuple(levels)
-
-        # the families without closed forms get one panel table per distinct
-        # observation, built here and used for every slab evaluation of the
-        # fit; the fitted object keeps none, so stored fits stay small
-        idx = np.arange(n)
-        tables = self._tables(idx)
-        if tables is not None:
-            self._log_psi = np.array([tables[i].log_psi for i in idx])
-            shrinkage = np.array([tables[i].mean for i in idx])
-        else:
-            self._log_psi = log_psi(slab, x)
-            shrinkage = posterior_shrinkage(slab, x)
-        log_r = self._log_psi - log_phi(x)
-        lam = dim_prior.log_model_weights()
-
-        binomial = dim_prior.family is DimensionFamily.BINOMIAL
-        if binomial:
-            F = product_of_linear_factors(log_r)
-        else:
-            # O(n^2) forward-backward pass for q_i = d log Z / d log r_i
-            F, log_num = inclusion_log_numerators(log_r, lam)
-        self.log_partition = float(logsumexp(lam + F.log_coeffs))
-        self.dim_log_pmf = lam + F.log_coeffs - self.log_partition
-        if binomial:
-            # binomial dimension prior makes the coordinates independent:
-            # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
-            alpha = dim_prior.params[0]
-            la, l1a = np.log(alpha), np.log1p(-alpha)
-            log_q = la + log_r - np.logaddexp(l1a, la + log_r)
-            self.inclusion_prob = np.exp(log_q)
-        else:
-            self.inclusion_prob = np.exp(np.minimum(log_r + log_num - self.log_partition, 0.0))
-
-        self.mean = self.inclusion_prob * shrinkage
-
-        if quantiles:
-            self.median = self._coordinatewise_median_vec(idx, tables)
-            lo, hi = self.levels
-            self.credible_lo = self._quantile_vec(np.full(n, lo), idx, tables)
-            self.credible_hi = self._quantile_vec(np.full(n, hi), idx, tables)
-        else:
-            self.median = self.credible_lo = self.credible_hi = None
-
-    # -- marginal slab cdf H(u) = psi(x, u) / psi(x) -----------------------
-
-    def _tables(self, idx):
-        """Panel tables of the coordinates idx, keyed by coordinate, one per
-        distinct observation; None for the closed-form slab families."""
-        if self.slab.family not in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
-            return None
-        return dict(zip(idx.tolist(), slab_tables(self.slab, self.x[idx])))
-
-    def _slab_cdf_at_zero(self, idx, tables):
-        """H(0) for the coordinates idx: the tables' cumulative sum at the
-        knot 0, or the closed form."""
-        if tables is not None:
-            return np.array([tables[i].cdf_at_zero for i in idx])
-        return slab_cdf_at_zero(self.slab, self.x[idx])
-
-    def _slab_quantile(self, idx, tau, tables):
-        """Generalized inverse of H for tau in (0, 1); +/-inf outside."""
-        idx, tau = np.broadcast_arrays(idx, np.asarray(tau, dtype=float))
-        out = np.where(tau <= 0.0, -np.inf, np.inf)
-        inside = (tau > 0.0) & (tau < 1.0)
-        if not np.any(inside):
-            return out
-        ii, ti = idx[inside], tau[inside]
-        if tables is not None:
-            out[inside] = table_quantiles([tables[i] for i in ii], ti)
-        else:
-            out[inside] = slab_quantile(self.slab, self.x[ii], ti)
-        return out
+    x: np.ndarray
+    dim_prior: DimensionPrior
+    slab: SlabPrior
+    levels: tuple
+    log_partition: float
+    dim_log_pmf: np.ndarray
+    inclusion_prob: np.ndarray
+    mean: np.ndarray
+    median: np.ndarray | None
+    credible_lo: np.ndarray | None
+    credible_hi: np.ndarray | None
+    _log_psi: np.ndarray
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
@@ -160,9 +157,8 @@ class Posterior:
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            tables = self._tables(np.array([i]))
-            if tables is not None:
-                val += q * tables[i].cdf(u)
+            if self.slab.family in _TABLE_FAMILIES:
+                val += q * SlabCdfTable(self.slab, self.x[i]).cdf(u)
             else:
                 val += q * float(np.exp(log_psi_partial(self.slab, self.x[i], u)
                                         - self._log_psi[i]))
@@ -178,39 +174,17 @@ class Posterior:
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
-        idx = np.array([i])
-        return float(self._quantile_vec(np.asarray([level]), idx, self._tables(idx))[0])
-
-    def _quantile_vec(self, levels: np.ndarray, idx, tables) -> np.ndarray:
-        q = self.inclusion_prob[idx]
-        out = np.zeros(levels.shape)
-        h0 = np.where(q > 0.0, self._slab_cdf_at_zero(idx, tables), 0.5)
-        atom_lo = q * h0
-        atom_hi = atom_lo + (1.0 - q)
-        below = levels <= atom_lo
-        above = levels > atom_hi
-        if np.any(below):
-            out[below] = self._slab_quantile(idx[below], levels[below] / q[below], tables)
-        if np.any(above):
-            out[above] = self._slab_quantile(
-                idx[above], (levels[above] - (1.0 - q[above])) / q[above], tables
-            )
-        return out
+        x = self.x[[i]]
+        return float(_marginal_quantiles(self.slab, x, _slab_tables(self.slab, x),
+                                         self.inclusion_prob[[i]], np.array([level]))[0])
 
     def coordinatewise_median(self, i: int) -> float:
         """Median of the marginal posterior of coordinate i; exactly zero
         whenever the inclusion probability is at most 1/2."""
         self._check_index(i)
-        idx = np.array([i])
-        return float(self._coordinatewise_median_vec(idx, self._tables(idx))[0])
-
-    def _coordinatewise_median_vec(self, idx, tables) -> np.ndarray:
-        q = self.inclusion_prob[idx]
-        with np.errstate(divide="ignore"):
-            inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-        upper = self._slab_quantile(idx, 1.0 - inv2q, tables)
-        lower = self._slab_quantile(idx, inv2q, tables)
-        return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
+        x = self.x[[i]]
+        return float(_medians(self.slab, x, _slab_tables(self.slab, x),
+                              self.inclusion_prob[[i]])[0])
 
     def _check_index(self, i: int):
         if not 0 <= i < self.x.size:
@@ -232,10 +206,117 @@ class Posterior:
         )
 
 
+class SlabLayer:
+    """The slab functions of an (R, n) block of observations, evaluated once.
+
+    Holds log psi, the shrinkage zeta/psi and log r = log psi - log phi of
+    every coordinate and, for the Student and exponential-power slabs, the
+    panel tables they come from (one per distinct observation, listed row by
+    row).  Every fit of the block and its empirical-Bayes weights read
+    these; the fitted posteriors keep no table, so stored fits stay small.
+    The product of the factors, prod_i (1 + r_i Z) of each row, depends on
+    the layer alone: the first fit computes it, and a later fit whose rows
+    are under binomial priors, which need nothing else of the polynomial
+    layer, reads it.
+    """
+
+    def __init__(self, slab: SlabPrior, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("observations must form an (R, n) block")
+        validate_observations(X.ravel())
+        self.slab = slab
+        self.x = X
+        self.tables = _slab_tables(slab, X.ravel())
+        if self.tables is not None:
+            self.log_psi = np.array([t.log_psi for t in self.tables]).reshape(X.shape)
+            self.shrinkage = np.array([t.mean for t in self.tables]).reshape(X.shape)
+        else:
+            self.log_psi = log_psi(slab, X)
+            self.shrinkage = posterior_shrinkage(slab, X)
+        self.log_r = self.log_psi - log_phi(X)
+        self._products = None
+
+    def eb_binomial_weights(self) -> np.ndarray:
+        """eb_binomial_weight of every row."""
+        return np.array([_eb_weight(lphi, lpsi)
+                         for lphi, lpsi in zip(log_phi(self.x), self.log_psi)])
+
+    def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> list[Posterior]:
+        """The exact posterior of every row: priors is one DimensionPrior for
+        all rows or a sequence of one per row.  The rows under a binomial
+        prior take the product of the factors alone; all the others share
+        one batched forward-backward pass for q_i = d log Z / d log r_i."""
+        R, n = self.x.shape
+        if isinstance(priors, DimensionPrior):
+            lam = np.tile(priors.log_model_weights(), (R, 1))
+            priors = [priors] * R
+        else:
+            priors = list(priors)
+            if len(priors) != R:
+                raise ValueError(f"need one dimension prior per row: {len(priors)} for {R} rows")
+            lam = np.array([p.log_model_weights() for p in priors])
+        for p in priors:
+            if p.n != n:
+                raise ValueError(f"dimension prior is over 0..{p.n} but n = {n}")
+
+        log_r = self.log_r
+        binomial = np.array([p.family is DimensionFamily.BINOMIAL for p in priors])
+        coupled = ~binomial
+        F = np.empty((R, n + 1))
+        if binomial.any():
+            F[binomial] = (product_of_linear_factors(log_r[binomial])
+                           if self._products is None else self._products[binomial])
+        if coupled.any():
+            F[coupled], log_num = inclusion_log_numerators(log_r[coupled], lam[coupled])
+        self._products = F
+        log_partition = logsumexp(lam + F, axis=1)
+        dim_log_pmf = lam + F - log_partition[:, None]
+        log_q = np.empty((R, n))
+        if binomial.any():
+            # binomial dimension prior makes the coordinates independent:
+            # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
+            alpha = np.array([p.params[0] for p, b in zip(priors, binomial) if b])[:, None]
+            la, l1a, lr = np.log(alpha), np.log1p(-alpha), log_r[binomial]
+            log_q[binomial] = la + lr - np.logaddexp(l1a, la + lr)
+        if coupled.any():
+            log_q[coupled] = np.minimum(
+                log_r[coupled] + log_num - log_partition[coupled, None], 0.0)
+        q = np.exp(log_q)
+        mean = q * self.shrinkage
+
+        median = lo = hi = None
+        if quantiles:
+            x, qf = self.x.ravel(), q.ravel()
+            median = _medians(self.slab, x, self.tables, qf).reshape(R, n)
+            lo, hi = (_marginal_quantiles(self.slab, x, self.tables, qf,
+                                          np.full(x.size, level)).reshape(R, n)
+                      for level in levels)
+
+        def row(a, r):
+            # a copy: a Posterior kept alone does not keep its block alive
+            return None if a is None else a[r].copy()
+
+        return [Posterior(row(self.x, r), priors[r], self.slab, tuple(levels),
+                          float(log_partition[r]), row(dim_log_pmf, r), row(q, r),
+                          row(mean, r), row(median, r), row(lo, r), row(hi, r),
+                          row(self.log_psi, r))
+                for r in range(R)]
+
+
+def fit_many(X, priors, slab: SlabPrior, levels=DEFAULT_LEVELS,
+             quantiles: bool = True) -> list[Posterior]:
+    """The exact posterior of every row of the (R, n) block X, one Posterior
+    per row; priors is one DimensionPrior for all rows or one per row.  The
+    slab functions are evaluated once for the block (SlabLayer)."""
+    return SlabLayer(slab, X).fit(priors, levels=levels, quantiles=quantiles)
+
+
 def fit(x, dim_prior: DimensionPrior, slab: SlabPrior, levels=DEFAULT_LEVELS,
         quantiles: bool = True) -> Posterior:
     """Compute the exact posterior for observations x."""
-    return Posterior(x, dim_prior, slab, levels=levels, quantiles=quantiles)
+    return fit_many(validate_observations(x)[None], dim_prior, slab, levels=levels,
+                    quantiles=quantiles)[0]
 
 
 def eb_binomial_weight(x, slab: SlabPrior) -> float:
@@ -243,9 +324,11 @@ def eb_binomial_weight(x, slab: SlabPrior) -> float:
     dimension prior: argmax over alpha in [min(1/n, 1 - 1e-6), 1 - 1e-6] of
     sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i)); n = 1 gives 1 - 1e-6."""
     x = validate_observations(x)
-    n = x.size
-    lphi = log_phi(x)
-    lpsi = log_psi(slab, x)
+    return _eb_weight(log_phi(x), log_psi(slab, x))
+
+
+def _eb_weight(lphi: np.ndarray, lpsi: np.ndarray) -> float:
+    """eb_binomial_weight from log phi and log psi of the observations."""
 
     def neg_loglik(alpha):
         return -float(
@@ -253,7 +336,7 @@ def eb_binomial_weight(x, slab: SlabPrior) -> float:
         )
 
     hi = 1.0 - 1e-6
-    lo = min(1.0 / n, hi)
+    lo = min(1.0 / lphi.size, hi)
     if lo >= hi:  # n = 1 corner
         return hi
     # imported here: scipy.optimize loads scipy.linalg, sparse and spatial,

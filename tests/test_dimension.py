@@ -12,7 +12,6 @@ from spikeslab import (
     complexity_prior,
     custom_prior,
     geometric_prior,
-    log_model_weight,
     poisson_prior,
 )
 from spikeslab.dimension import DimensionFamily, DimensionPrior
@@ -149,34 +148,26 @@ def test_exponential_decrease_audit():
 # -- per-model weights ----------------------------------------------------------
 
 
-def test_log_model_weight_p0_is_log_pmf0():
+def test_log_model_weights_p0_is_log_pmf0():
     prior = complexity_prior(10, 0.1)
-    assert log_model_weight(prior, 0) == pytest.approx(prior.log_pmf[0], abs=1e-12)
-
-
-def test_log_model_weight_out_of_range():
-    prior = complexity_prior(10, 0.1)
-    with pytest.raises(ValueError):
-        prior.log_model_weight(11)
-    with pytest.raises(ValueError):
-        prior.log_model_weight(-1)
+    assert prior.log_model_weights()[0] == pytest.approx(prior.log_pmf[0], abs=1e-12)
 
 
 def test_binomial_cancellation_identity():
     n = 500
     alpha = 0.07
     prior = binomial_prior(n, alpha)
+    weights = prior.log_model_weights()
     rng = np.random.default_rng(7)
     for p in rng.integers(0, n + 1, size=20):
         expected = p * math.log(alpha) + (n - p) * math.log1p(-alpha)
-        assert prior.log_model_weight(int(p)) == pytest.approx(expected, abs=1e-12)
+        assert weights[p] == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_model_weights_finite_at_large_n():
     prior = complexity_prior(500, 0.1)
     w = prior.log_model_weights()
     assert np.all(np.isfinite(w))
-    assert np.isfinite(prior.log_model_weight(250))
 
 
 # -- property tests ---------------------------------------------------------------

@@ -106,14 +106,16 @@ def test_identity_errors_finite_where_psi_underflows():
     # psi(1000) underflows the linear domain for the Laplace slab, so the
     # ratio zeta / exp(log psi) would be 0 / 0
     x = np.array([1000.0, 0.4, -2.0, 3.5])
-    post = fit(x, complexity_prior(4, 0.1), laplace_slab(), quantiles=False)
-    dim_err, mean_err = harness._identity_errors(post)
+    layer = harness.SlabLayer(laplace_slab(), x[None])
+    posts = layer.fit(complexity_prior(4, 0.1), quantiles=False)
+    dim_err, mean_err = harness._identity_errors(posts, layer.shrinkage)
     assert math.isfinite(dim_err) and dim_err <= 1e-10
     assert math.isfinite(mean_err) and mean_err <= 1e-10
 
 
 def test_run_table_propagates_nan_identity_gap(monkeypatch):
-    monkeypatch.setattr(harness, "_identity_errors", lambda post: (0.0, math.nan))
+    monkeypatch.setattr(harness, "_identity_errors",
+                        lambda posts, shrinkage: (0.0, math.nan))
     config = ExperimentConfig(n=20, pn_grid=(2,), amplitudes=(3.0,), replications=2,
                               estimators=("PM1", "EBM"), seed=3)
     table = run_table(config)
@@ -187,15 +189,15 @@ def test_run_table_oracle_threshold_helps_at_small_signals():
 
 def test_run_table_surfaces_failures(monkeypatch):
     calls = {"count": 0}
-    real_fit = harness.fit
+    real_fit = harness.SlabLayer.fit
 
-    def flaky_fit(*args, **kwargs):
+    def flaky_fit(self, *args, **kwargs):
         calls["count"] += 1
         if calls["count"] == 2:
             raise RuntimeError("injected failure")
-        return real_fit(*args, **kwargs)
+        return real_fit(self, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "fit", flaky_fit)
+    monkeypatch.setattr(harness.SlabLayer, "fit", flaky_fit)
     config = ExperimentConfig(
         n=20, pn_grid=(2,), amplitudes=(4.0,), replications=2,
         estimators=("PM2",),
@@ -206,6 +208,34 @@ def test_run_table_surfaces_failures(monkeypatch):
     cell = table.cell("PM2", 2, 4.0, 2.0)
     assert cell.reps == 1
     assert not cell.complete
+
+
+def test_run_table_sweeps_each_replication_block_once_per_prior(monkeypatch):
+    # a replication covers every cell of the grid: one inclusion sweep over
+    # the whole block for the complexity prior and one for the beta-binomial
+    # prior; the binomial EB fits need only the product of the factors,
+    # which the block's first sweep already computed
+    from spikeslab import posterior
+
+    calls = []
+    sweep = posterior.inclusion_log_numerators
+    product = posterior.product_of_linear_factors
+
+    def spy_sweep(log_r, log_w):
+        calls.append(("sweep", np.shape(log_r)))
+        return sweep(log_r, log_w)
+
+    def spy_product(log_r):
+        calls.append(("product", np.shape(log_r)))
+        return product(log_r)
+
+    monkeypatch.setattr(posterior, "inclusion_log_numerators", spy_sweep)
+    monkeypatch.setattr(posterior, "product_of_linear_factors", spy_product)
+    config = ExperimentConfig(n=30, pn_grid=(2, 4), amplitudes=(3.0, 5.0),
+                              replications=3, seed=1)
+    table = run_table(config)
+    assert calls == [("sweep", (4, 30))] * 6
+    assert table.failures == []
 
 
 # -- theory checks ------------------------------------------------------------------

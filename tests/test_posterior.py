@@ -12,6 +12,7 @@ from spikeslab import (
     eb_binomial_weight,
     exp_power_slab,
     fit,
+    fit_many,
     gaussian_slab,
     geometric_prior,
     laplace_slab,
@@ -20,7 +21,7 @@ from spikeslab import (
     posterior_shrinkage,
     student_slab,
 )
-from spikeslab.posterior import validate_observations
+from spikeslab.posterior import SlabLayer, validate_observations
 
 from _oracle import BruteForcePosterior, make_log_density
 
@@ -495,3 +496,76 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
     assert calls == []
     for field in ("median", "credible_lo", "credible_hi"):
         assert np.all(np.isfinite(getattr(post, field)))
+
+
+# -- blocks of fits ---------------------------------------------------------------------
+
+
+def _point_mass(n, p):
+    w = np.full(n + 1, -np.inf)
+    w[p] = 0.0
+    return custom_prior(n, w)
+
+
+_BLOCK_PRIORS = {
+    "complexity": lambda n: complexity_prior(n, 0.1),
+    "betabin": lambda n: betabin_power_prior(n, 0.1),
+    "binomial": lambda n: binomial_prior(n, 0.05),
+    "poisson": lambda n: poisson_prior(n, 3.0),
+    "geometric": lambda n: geometric_prior(n, 0.3),
+    "point-mass": lambda n: _point_mass(n, 2),
+}
+
+_FIELDS = ("dim_log_pmf", "inclusion_prob", "mean", "median", "credible_lo", "credible_hi")
+
+
+def _assert_same_posterior(a, b, tol=1e-12):
+    assert a.log_partition == pytest.approx(b.log_partition, rel=tol, abs=tol)
+    for field in _FIELDS:
+        u, v = getattr(a, field), getattr(b, field)
+        assert np.array_equal(np.isfinite(u), np.isfinite(v)), field
+        fin = np.isfinite(u)
+        assert np.all(np.abs(u[fin] - v[fin]) <= tol * np.maximum(1.0, np.abs(v[fin]))), field
+        assert np.array_equal(u[~fin], v[~fin]), field
+
+
+@pytest.mark.parametrize("n", [6, 300])
+@pytest.mark.parametrize("prior", sorted(_BLOCK_PRIORS), ids=str)
+def test_fit_many_equals_row_by_row_fit(prior, n):
+    rng = np.random.default_rng(53)
+    X = rng.normal(scale=2.0, size=(3, n))
+    X[0, :3] = [1e4, -1e4, 40.0]
+    X[2, -2:] = [-3e3, 7.0]
+    dim_prior = _BLOCK_PRIORS[prior](n)
+    for post, x in zip(fit_many(X, dim_prior, laplace_slab()), X):
+        _assert_same_posterior(post, fit(x, dim_prior, laplace_slab()))
+
+
+def test_fit_many_takes_one_prior_per_row():
+    # coupled and binomial priors mixed in one block, under a table slab
+    rng = np.random.default_rng(59)
+    n = 7
+    X = rng.normal(scale=2.0, size=(4, n))
+    priors = [complexity_prior(n, 0.3), binomial_prior(n, 0.2), _point_mass(n, 0),
+              poisson_prior(n, 1.0)]
+    for post, x, prior in zip(fit_many(X, priors, student_slab(3.0)), X, priors):
+        assert post.dim_prior is prior
+        _assert_same_posterior(post, fit(x, prior, student_slab(3.0)))
+
+
+def test_fit_many_validation():
+    X = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="one dimension prior per row"):
+        fit_many(X, [complexity_prior(4, 0.1)] * 3, laplace_slab())
+    with pytest.raises(ValueError, match="n = 4"):
+        fit_many(X, complexity_prior(5, 0.1), laplace_slab())
+    with pytest.raises(ValueError, match="block"):
+        fit_many(np.zeros(4), complexity_prior(4, 0.1), laplace_slab())
+    with pytest.raises(ValueError, match="finite"):
+        fit_many(np.array([[0.0, np.inf]]), complexity_prior(2, 0.1), laplace_slab())
+
+
+def test_slab_layer_eb_weights_match_eb_binomial_weight():
+    X = np.random.default_rng(61).normal(scale=3.0, size=(3, 40))
+    weights = SlabLayer(laplace_slab(), X).eb_binomial_weights()
+    assert weights.tolist() == [eb_binomial_weight(x, laplace_slab()) for x in X]
