@@ -50,10 +50,25 @@ def build_dim_prior(args, n: int):
     return geometric_prior(n, args.alpha)
 
 
+def _has_shape(args) -> bool:
+    return SlabFamily(args.slab) in (SlabFamily.STUDENT, SlabFamily.EXP_POWER)
+
+
 def build_slab(args) -> SlabPrior:
-    family = SlabFamily(args.slab)
-    shape = args.df if family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER) else None
-    return SlabPrior(family, scale=args.scale, shape=shape)
+    return SlabPrior(SlabFamily(args.slab), scale=args.scale,
+                     shape=args.df if _has_shape(args) else None)
+
+
+def _slab_flags(args) -> str:
+    """The slab flags build_slab reads, with their values."""
+    shape = f" --df {args.df:g}" if _has_shape(args) else ""
+    return f"--slab {args.slab} --scale {args.scale:g}{shape}"
+
+
+def _prior_flags(args) -> str:
+    """The prior flags build_dim_prior reads, with their values."""
+    names = {"complexity": ("kappa", "b"), "betabin": ("kappa",)}.get(args.prior, ("alpha",))
+    return " ".join([f"--prior {args.prior}"] + [f"--{k} {getattr(args, k):g}" for k in names])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -78,7 +93,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=3.0)
     _add_slab_flags(p)
     p.add_argument("--q", type=float, nargs="+", default=[2.0, 1.0])
-    p.add_argument("--estimators", nargs="+", default=list(harness.TABLE_ESTIMATORS))
+    p.add_argument("--estimators", nargs="+", default=list(harness.TABLE_ESTIMATORS),
+                   choices=harness.TABLE_ESTIMATORS)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes; the pool runs over replications, each "
                         "one block of every grid cell, so a one-replication table "
@@ -140,11 +156,25 @@ def _summary_json(post) -> dict:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+
+    def usage(build, flags: str):
+        """build(), with the ValueError of an invalid flag value reported as
+        a usage error (exit status 2) that names the flags."""
+        try:
+            return build()
+        except ValueError as exc:
+            parser.error(f"{flags}: {exc}")
+
+    slab = usage(lambda: build_slab(args), _slab_flags(args)) if hasattr(args, "slab") else None
+
+    def dim_prior(n: int):
+        return usage(lambda: build_dim_prior(args, n), _prior_flags(args))
 
     if args.command == "fit":
         x = harness.read_observations(args.data)
-        post = fit(x, build_dim_prior(args, x.size), build_slab(args))
+        post = fit(x, dim_prior(x.size), slab)
         payload = json.dumps(_summary_json(post), indent=1)
         if args.out:
             with open(args.out, "w") as fh:
@@ -153,12 +183,12 @@ def main(argv=None) -> int:
             print(payload)
 
     elif args.command == "simulate":
-        config = harness.ExperimentConfig(
+        config = usage(lambda: harness.ExperimentConfig(
             n=args.n, pn_grid=tuple(args.pn), amplitudes=tuple(args.amp),
             replications=args.reps, estimators=tuple(args.estimators),
-            kappa=args.kappa, b=args.b, slab=build_slab(args),
+            kappa=args.kappa, b=args.b, slab=slab,
             qs=tuple(args.q), seed=args.seed, threads=args.threads,
-        )
+        ), "--n, --pn, --reps, --kappa, --b or --q")
         table = harness.run_table(config)
         if args.out:
             (table.to_json if args.format == "json" else table.to_csv)(args.out)
@@ -172,8 +202,7 @@ def main(argv=None) -> int:
     elif args.command == "dim-check":
         rep = harness.run_dimension_check(
             args.n, args.pn, args.amp, args.M, args.reps,
-            dim_prior=build_dim_prior(args, args.n), slab=build_slab(args),
-            seed=args.seed,
+            dim_prior=dim_prior(args.n), slab=slab, seed=args.seed,
         )
         for M, mass in rep.rows:
             print(f"M={M:6.2f}  avg tail mass P(|S| > M p_n | X) = {mass:.6f}")
@@ -182,8 +211,7 @@ def main(argv=None) -> int:
     elif args.command == "contract-check":
         rep = harness.run_contraction_check(
             args.n, args.pn, args.amp, args.reps,
-            dim_prior_factory=lambda m: build_dim_prior(args, m),
-            slab=build_slab(args), seed=args.seed,
+            dim_prior_factory=dim_prior, slab=slab, seed=args.seed,
         )
         for p_n, risk, ratio in rep.rows:
             print(f"p_n={p_n:4d}  avg posterior risk={risk:10.2f}  "
@@ -199,9 +227,8 @@ def main(argv=None) -> int:
 
     elif args.command == "intervals":
         x = harness.read_observations(args.data)
-        harness.emit_interval_data(x, build_dim_prior(args, x.size), build_slab(args),
-                                   args.out, levels=tuple(args.levels),
-                                   fmt=args.format)
+        harness.emit_interval_data(x, dim_prior(x.size), slab, args.out,
+                                   levels=tuple(args.levels), fmt=args.format)
         print(f"wrote {x.size} rows to {args.out}")
 
     return 0

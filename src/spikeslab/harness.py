@@ -14,12 +14,7 @@ import numpy as np
 from . import estimators as est
 from .dimension import DimensionPrior, betabin_power_prior, binomial_prior, complexity_prior
 from .posterior import Posterior, SlabLayer, fit, fit_many
-from .slabs import (
-    SlabPrior,
-    gaussian_slab,
-    laplace_slab,
-    second_moment_ratio,
-)
+from .slabs import SlabPrior, gaussian_slab, laplace_slab
 
 TABLE_ESTIMATORS = ("PM1", "PM2", "EBM", "PMed1", "PMed2", "EBMed", "HT", "HTO")
 
@@ -61,9 +56,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        unknown = sorted(set(self.estimators) - set(TABLE_ESTIMATORS))
+        if unknown:
+            raise ValueError(f"unknown estimators {unknown}; choose from {TABLE_ESTIMATORS}")
+        for q in self.qs:
+            est.LossSpec(q)  # raises for a loss exponent outside (0, 2]
         for p_n in self.pn_grid:
             if not 0 <= p_n < self.n:
                 raise ValueError(f"grid sparsity {p_n} invalid for n = {self.n}")
+        if not (self.kappa > 0 and self.b > 0):
+            raise ValueError("kappa and b must be positive")
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
         if prior is None:
             prior = [binomial_prior(config.n, a) for a in layer.eb_binomial_weights()]
         posts = layer.fit(prior, quantiles=median_name in wanted)
-        d, m = _identity_errors(posts, layer.shrinkage)
+        d, m = _identity_errors(posts, layer.values.shrinkage)
         dim_err = float(np.maximum(dim_err, d))  # NaN propagates
         mean_err = float(np.maximum(mean_err, m))
         estimates[mean_name] = [post.mean for post in posts]
@@ -305,10 +307,10 @@ def run_contraction_check(n: int, pn_grid, amplitude: float, reps: int,
             raise ValueError("contraction grid requires 0 < p_n < n/2")
         theta0, X = _replication_block(SignalSpec(n, p_n, amplitude, placement), seed,
                                        reps, stream_key=(p_n,))
-        second_moment = second_moment_ratio(slab, X)
+        layer = SlabLayer(slab, X)
         risks = []
-        for post, t0, m2 in zip(fit_many(X, dim_prior, slab, quantiles=False), theta0,
-                                second_moment):
+        for post, t0, m2 in zip(layer.fit(dim_prior, quantiles=False), theta0,
+                                layer.values.second_moment):
             risks.append(float(np.sum(post.inclusion_prob * m2 - 2.0 * t0 * post.mean
                                       + t0**2)))
         avg = float(np.mean(risks))

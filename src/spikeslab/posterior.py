@@ -24,19 +24,7 @@ from scipy.special import logsumexp
 
 from .dimension import DimensionFamily, DimensionPrior
 from .logpoly import inclusion_log_numerators, product_of_linear_factors
-from .slabs import (
-    SlabCdfTable,
-    SlabFamily,
-    SlabPrior,
-    log_phi,
-    log_psi,
-    log_psi_partial,
-    posterior_shrinkage,
-    slab_cdf_at_zero,
-    slab_quantile,
-    slab_tables,
-    table_quantiles,
-)
+from .slabs import SlabPrior, SlabValues, log_phi
 
 DEFAULT_LEVELS = (0.025, 0.975)
 
@@ -69,62 +57,30 @@ def validate_observations(x) -> np.ndarray:
     return x
 
 
-_TABLE_FAMILIES = (SlabFamily.STUDENT, SlabFamily.EXP_POWER)
+# -- marginal quantiles over the flattened coordinates of a SlabValues
 
 
-def _slab_tables(slab: SlabPrior, x: np.ndarray):
-    """Panel tables of the 1-d x, one per coordinate and built once per
-    distinct observation; None for the closed-form slab families."""
-    return slab_tables(slab, x) if slab.family in _TABLE_FAMILIES else None
-
-
-def _subset(tables, mask):
-    return None if tables is None else [tables[k] for k in np.flatnonzero(mask)]
-
-
-# -- marginal slab cdf H(u) = psi(x, u) / psi(x), over 1-d arrays of coordinates
-
-
-def _slab_quantile(slab: SlabPrior, x, tables, tau) -> np.ndarray:
-    """Generalized inverse of H at tau for each coordinate; +/-inf outside (0, 1)."""
-    out = np.where(tau <= 0.0, -np.inf, np.inf)
-    inside = (tau > 0.0) & (tau < 1.0)
-    if np.any(inside):
-        if tables is not None:
-            out[inside] = table_quantiles(_subset(tables, inside), tau[inside])
-        else:
-            out[inside] = slab_quantile(slab, x[inside], tau[inside])
-    return out
-
-
-def _marginal_quantiles(slab: SlabPrior, x, tables, q, levels) -> np.ndarray:
+def _marginal_quantiles(values: SlabValues, q, levels) -> np.ndarray:
     """Generalized inverse of each coordinate's marginal cdf at its level:
     the atom of size 1 - q at zero is handled analytically, the slab part is
     inverted exactly (see Posterior.marginal_quantile)."""
     out = np.zeros(levels.shape)
-    if tables is not None:
-        h0 = np.array([t.cdf_at_zero for t in tables])
-    else:
-        h0 = slab_cdf_at_zero(slab, x)
-    atom_lo = q * np.where(q > 0.0, h0, 0.5)
+    atom_lo = q * np.where(q > 0.0, values.cdf_at_zero.ravel(), 0.5)
     atom_hi = atom_lo + (1.0 - q)
-    below = levels <= atom_lo
-    above = levels > atom_hi
-    if np.any(below):
-        out[below] = _slab_quantile(slab, x[below], _subset(tables, below),
-                                    levels[below] / q[below])
-    if np.any(above):
-        out[above] = _slab_quantile(slab, x[above], _subset(tables, above),
-                                    (levels[above] - (1.0 - q[above])) / q[above])
+    below = np.flatnonzero(levels <= atom_lo)
+    above = np.flatnonzero(levels > atom_hi)
+    out[below] = values.quantile(below, levels[below] / q[below])
+    out[above] = values.quantile(above, (levels[above] - (1.0 - q[above])) / q[above])
     return out
 
 
-def _medians(slab: SlabPrior, x, tables, q) -> np.ndarray:
+def _medians(values: SlabValues, q) -> np.ndarray:
     """Marginal posterior medians; exactly zero where q <= 1/2."""
     with np.errstate(divide="ignore"):
         inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-    upper = _slab_quantile(slab, x, tables, 1.0 - inv2q)
-    lower = _slab_quantile(slab, x, tables, inv2q)
+    k = np.arange(q.size)
+    upper = values.quantile(k, 1.0 - inv2q)
+    lower = values.quantile(k, inv2q)
     return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
 
 
@@ -145,46 +101,37 @@ class Posterior:
     median: np.ndarray | None
     credible_lo: np.ndarray | None
     credible_hi: np.ndarray | None
-    _log_psi: np.ndarray
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
-        the slab part q_i * psi(x_i, u) / psi(x_i).  For the Student and
-        exponential-power slabs each call builds the coordinate's table."""
+        the slab part q_i * psi(x_i, u) / psi(x_i).  Each call evaluates the
+        coordinate's slab functions anew (for the Student and
+        exponential-power slabs, its table)."""
         self._check_index(i)
         if np.isinf(u):
             return 0.0 if u < 0 else 1.0
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            if self.slab.family in _TABLE_FAMILIES:
-                val += q * SlabCdfTable(self.slab, self.x[i]).cdf(u)
-            else:
-                val += q * float(np.exp(log_psi_partial(self.slab, self.x[i], u)
-                                        - self._log_psi[i]))
+            val += q * SlabValues(self.slab, self.x[[i]]).cdf(0, u)
         return float(min(max(val, 0.0), 1.0))
 
     def marginal_quantile(self, i: int, level: float) -> float:
         """Generalized inverse of the marginal cdf.  The atom at zero is
-        handled analytically and the slab part is inverted exactly: the
-        Gaussian slab posterior by ndtri, the Laplace one, a two-piece normal
-        mixture split at 0, by ndtri_exp on the piece that holds the level,
-        and the coordinate's panel table (Student, exponential power) by
-        Newton steps inside the panel that holds the level."""
+        handled analytically and the slab part is inverted exactly
+        (SlabValues.quantile)."""
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
-        x = self.x[[i]]
-        return float(_marginal_quantiles(self.slab, x, _slab_tables(self.slab, x),
-                                         self.inclusion_prob[[i]], np.array([level]))[0])
+        values = SlabValues(self.slab, self.x[[i]])
+        return float(_marginal_quantiles(values, self.inclusion_prob[[i]], np.array([level]))[0])
 
     def coordinatewise_median(self, i: int) -> float:
         """Median of the marginal posterior of coordinate i; exactly zero
         whenever the inclusion probability is at most 1/2."""
         self._check_index(i)
-        x = self.x[[i]]
-        return float(_medians(self.slab, x, _slab_tables(self.slab, x),
-                              self.inclusion_prob[[i]])[0])
+        values = SlabValues(self.slab, self.x[[i]])
+        return float(_medians(values, self.inclusion_prob[[i]])[0])
 
     def _check_index(self, i: int):
         if not 0 <= i < self.x.size:
@@ -209,11 +156,11 @@ class Posterior:
 class SlabLayer:
     """The slab functions of an (R, n) block of observations, evaluated once.
 
-    Holds log psi, the shrinkage zeta/psi and log r = log psi - log phi of
-    every coordinate and, for the Student and exponential-power slabs, the
-    panel tables they come from (one per distinct observation, listed row by
-    row).  Every fit of the block and its empirical-Bayes weights read
-    these; the fitted posteriors keep no table, so stored fits stay small.
+    Holds the block's SlabValues (log psi, the shrinkage zeta/psi, the slab
+    cdf and its inverse, and the second moment on first use) and
+    log r = log psi - log phi of every coordinate.  Every fit of the block
+    and its empirical-Bayes weights read these; the fitted posteriors keep
+    none of them, so stored fits stay small.
     The product of the factors, prod_i (1 + r_i Z) of each row, depends on
     the layer alone: the first fit computes it, and a later fit whose rows
     are under binomial priors, which need nothing else of the polynomial
@@ -227,20 +174,14 @@ class SlabLayer:
         validate_observations(X.ravel())
         self.slab = slab
         self.x = X
-        self.tables = _slab_tables(slab, X.ravel())
-        if self.tables is not None:
-            self.log_psi = np.array([t.log_psi for t in self.tables]).reshape(X.shape)
-            self.shrinkage = np.array([t.mean for t in self.tables]).reshape(X.shape)
-        else:
-            self.log_psi = log_psi(slab, X)
-            self.shrinkage = posterior_shrinkage(slab, X)
-        self.log_r = self.log_psi - log_phi(X)
+        self.values = SlabValues(slab, X)
+        self.log_r = self.values.log_psi - log_phi(X)
         self._products = None
 
     def eb_binomial_weights(self) -> np.ndarray:
         """eb_binomial_weight of every row."""
         return np.array([_eb_weight(lphi, lpsi)
-                         for lphi, lpsi in zip(log_phi(self.x), self.log_psi)])
+                         for lphi, lpsi in zip(log_phi(self.x), self.values.log_psi)])
 
     def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> list[Posterior]:
         """The exact posterior of every row: priors is one DimensionPrior for
@@ -283,14 +224,13 @@ class SlabLayer:
             log_q[coupled] = np.minimum(
                 log_r[coupled] + log_num - log_partition[coupled, None], 0.0)
         q = np.exp(log_q)
-        mean = q * self.shrinkage
+        mean = q * self.values.shrinkage
 
         median = lo = hi = None
         if quantiles:
-            x, qf = self.x.ravel(), q.ravel()
-            median = _medians(self.slab, x, self.tables, qf).reshape(R, n)
-            lo, hi = (_marginal_quantiles(self.slab, x, self.tables, qf,
-                                          np.full(x.size, level)).reshape(R, n)
+            qf = q.ravel()
+            median = _medians(self.values, qf).reshape(R, n)
+            lo, hi = (_marginal_quantiles(self.values, qf, np.full(qf.size, level)).reshape(R, n)
                       for level in levels)
 
         def row(a, r):
@@ -299,8 +239,7 @@ class SlabLayer:
 
         return [Posterior(row(self.x, r), priors[r], self.slab, tuple(levels),
                           float(log_partition[r]), row(dim_log_pmf, r), row(q, r),
-                          row(mean, r), row(median, r), row(lo, r), row(hi, r),
-                          row(self.log_psi, r))
+                          row(mean, r), row(median, r), row(lo, r), row(hi, r))
                 for r in range(R)]
 
 
@@ -324,7 +263,7 @@ def eb_binomial_weight(x, slab: SlabPrior) -> float:
     dimension prior: argmax over alpha in [min(1/n, 1 - 1e-6), 1 - 1e-6] of
     sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i)); n = 1 gives 1 - 1e-6."""
     x = validate_observations(x)
-    return _eb_weight(log_phi(x), log_psi(slab, x))
+    return _eb_weight(log_phi(x), SlabValues(slab, x).log_psi)
 
 
 def _eb_weight(lphi: np.ndarray, lpsi: np.ndarray) -> float:

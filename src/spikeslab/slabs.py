@@ -8,16 +8,22 @@ engine only ever touches g through three scalar functions:
     psi(x, u)   = int_{-inf}^{u} phi(x - t) g(t) dt
     zeta(x)     = int t phi(x - t) g(t) dt        (first-moment convolution)
 
-phi is the standard normal density.  Laplace and Gaussian slabs use closed
-forms evaluated on the log scale (log-Phi via erfc keeps the e^{a x} *
-Phi(-x - a) products finite for large |x|).  Student and exponential-power
-slabs, and the Laplace second moment, come from one panel Gauss-Legendre
-table per observation (SlabCdfTable).
+plus the second moment int t^2 phi(x - t) g(t) dt / psi(x) for the
+contraction check.  phi is the standard normal density.
+
+SlabValues evaluates all of them once for an array of observations, and is
+the one place that decides how a family is evaluated.  Laplace and Gaussian
+slabs use closed forms on the log scale (log-Phi via erfc keeps the
+e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones all
+come from one pair of log-Phi arrays.  Student and exponential-power slabs,
+and the Laplace second moment, come from one panel Gauss-Legendre table per
+distinct observation (SlabCdfTable).  log_psi, posterior_shrinkage, zeta and
+second_moment_ratio read a SlabValues.
 
 The slab cdf H(u) = psi(x, u) / psi(x) is inverted exactly, with no
-bisection: the Gaussian slab posterior is normal; the Laplace one is a
-two-piece mixture of normals split at 0, inverted by one ndtri_exp call on
-the piece that holds the level (slab_quantile); a panel table is inverted
+bisection (SlabValues.quantile): the Gaussian slab posterior is normal; the
+Laplace one is a two-piece mixture of normals split at 0, inverted by one
+ndtri_exp call on the piece that holds the level; a panel table is inverted
 inside the one panel that holds the level, by safeguarded Newton steps
 batched over every coordinate of a call (table_quantiles).
 """
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
@@ -64,16 +70,11 @@ class SlabPrior:
         exponential-power scale.
     shape: Student degrees of freedom (> 2, so the second moment is finite)
         or exponential-power exponent in (0, 2].
-    quadrature_tol: relative accuracy asked of the panel quadrature
-        (SlabCdfTable).  A table raises QuadratureError when halving every
-        panel changes psi(x) by more than 10 * quadrature_tol plus the
-        rounding floor of the log integrand.
     """
 
     family: SlabFamily
     scale: float = 1.0
     shape: float | None = None
-    quadrature_tol: float = 1e-10
 
     def __post_init__(self):
         if not (np.isfinite(self.scale) and self.scale > 0):
@@ -84,24 +85,22 @@ class SlabPrior:
         elif self.family is SlabFamily.EXP_POWER:
             if self.shape is None or not (0 < self.shape <= 2):
                 raise ValueError("exponential-power exponent must lie in (0, 2]")
-        if not (0 < self.quadrature_tol < 1e-2):
-            raise ValueError("quadrature_tol out of range")
 
 
-def laplace_slab(rate: float = 1.0, **kw) -> SlabPrior:
-    return SlabPrior(SlabFamily.LAPLACE, scale=rate, **kw)
+def laplace_slab(rate: float = 1.0) -> SlabPrior:
+    return SlabPrior(SlabFamily.LAPLACE, scale=rate)
 
 
-def gaussian_slab(std: float = 1.0, **kw) -> SlabPrior:
-    return SlabPrior(SlabFamily.GAUSSIAN, scale=std, **kw)
+def gaussian_slab(std: float = 1.0) -> SlabPrior:
+    return SlabPrior(SlabFamily.GAUSSIAN, scale=std)
 
 
-def student_slab(df: float, scale: float = 1.0, **kw) -> SlabPrior:
-    return SlabPrior(SlabFamily.STUDENT, scale=scale, shape=df, **kw)
+def student_slab(df: float, scale: float = 1.0) -> SlabPrior:
+    return SlabPrior(SlabFamily.STUDENT, scale=scale, shape=df)
 
 
-def exp_power_slab(alpha: float, scale: float = 1.0, **kw) -> SlabPrior:
-    return SlabPrior(SlabFamily.EXP_POWER, scale=scale, shape=alpha, **kw)
+def exp_power_slab(alpha: float, scale: float = 1.0) -> SlabPrior:
+    return SlabPrior(SlabFamily.EXP_POWER, scale=scale, shape=alpha)
 
 
 def log_phi(z):
@@ -159,6 +158,7 @@ def _log_diff_exp(log_a, log_b):
 _PANELS_PER_HALFWIDTH = 32  # panels across _QUAD_HALFWIDTH, at most
 _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_QUAD_TOL = 1e-10  # relative accuracy asked of a table (see _panel_quadrature)
 
 
 def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
@@ -218,9 +218,9 @@ def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
     scaled by exp(-shift), shift = the largest log integrand, and the
     relative change of the integral when every panel is halved.
 
-    Raises QuadratureError when that change exceeds 10 * quadrature_tol
-    plus the rounding floor of the log integrand (machine epsilon times
-    its size at the peak).
+    Raises QuadratureError when that change exceeds 10 * _QUAD_TOL plus
+    the rounding floor of the log integrand (machine epsilon times its
+    size at the peak).
     """
     a, b = mesh[:-1], mesh[1:]
     t, log_f, w = _panel_rule(prior, x, a, b)
@@ -229,7 +229,7 @@ def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
     mid = 0.5 * (a + b)
     _, log_f2, w2 = _panel_rule(prior, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
     error = abs(float((np.exp(log_f2 - shift) * w2).sum()) / float(vals.sum()) - 1.0)
-    if error > 10.0 * prior.quadrature_tol + np.finfo(float).eps * abs(shift):
+    if error > 10.0 * _QUAD_TOL + np.finfo(float).eps * abs(shift):
         raise QuadratureError(
             f"panel quadrature at x = {x:g} on [{mesh[0]:g}, {mesh[-1]:g}] did not converge",
             error)
@@ -278,13 +278,6 @@ class SlabCdfTable:
         k = int(np.searchsorted(self.mesh, u)) - 1
         part = float(_partial_mass(self.prior, self.x, self.mesh[k], u, self._shift)[0])
         return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
-
-    def quantile(self, tau):
-        """Generalized inverse of H at tau in (0, 1), scalar or array; see
-        table_quantiles."""
-        tau = np.asarray(tau, dtype=float)
-        out = table_quantiles([self] * tau.size, tau.ravel()).reshape(tau.shape)
-        return out if out.ndim else float(out)
 
 
 def table_quantiles(tables, tau) -> np.ndarray:
@@ -349,9 +342,108 @@ def slab_tables(prior: SlabPrior, x: np.ndarray) -> list[SlabCdfTable]:
     return [tables[k] for k in inverse.ravel()]
 
 
-def _table_values(prior: SlabPrior, x: np.ndarray, attr: str):
-    out = np.array([getattr(t, attr) for t in slab_tables(prior, x.ravel())])
-    return out.reshape(x.shape)
+def _gaussian_posterior(s: float, x):
+    """Mean and standard deviation of the Gaussian slab posterior N(m, sd^2)."""
+    tau2 = 1.0 + s * s
+    return x * (s * s) / tau2, s / math.sqrt(tau2)
+
+
+class SlabValues:
+    """The slab functions of an observation array x of any shape, evaluated once.
+
+    Holds log psi, the shrinkage zeta/psi and H(0) = psi(x, 0) / psi(x) of
+    every entry and gives the second moment on first use.  quantile inverts
+    the slab cdf H(u) = psi(x, u) / psi(x) and cdf evaluates it, both at
+    entries named by their index into the flattened x.  This is the one
+    place that decides how a slab family is evaluated: closed forms for the
+    Laplace and Gaussian slabs, one SlabCdfTable per distinct observation
+    for the Student and exponential-power slabs (and for the Laplace second
+    moment).
+
+    The Laplace slab posterior of x is N(x + a, 1) below 0 with log weight
+    L- = a x + log Phi(-x - a) and N(x - a, 1) above 0 with log weight
+    L+ = -a x + log Phi(x - a); psi, zeta and H(0) all come from those two
+    log Phi arrays.  H and its inverse use L - a x and L + a x,
+    L = logaddexp(L-, L+), formed without the large terms +/- a x, so no
+    cancellation.  The Gaussian slab posterior is N(m, sd^2).
+    """
+
+    def __init__(self, prior: SlabPrior, x):
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("slab functions require finite arguments")
+        self.prior = prior
+        self.x = x
+        self._tables = None
+        a = prior.scale
+        if prior.family is SlabFamily.LAPLACE:
+            neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
+            # psi(x) = (a/2) e^{a^2/2} [e^{-a x} Phi(x - a) + e^{a x} Phi(-x - a)]
+            # zeta(x) = (a/2) e^{a^2/2} [(x-a) e^{-a x} Phi(x-a) + (x+a) e^{a x} Phi(-x-a)]
+            u1, u2 = -a * x + pos, a * x + neg
+            self.log_psi = math.log(a / 2.0) + 0.5 * a * a + np.logaddexp(u1, u2)
+            m = np.maximum(u1, u2)
+            w1, w2 = np.exp(u1 - m), np.exp(u2 - m)
+            self.shrinkage = ((x - a) * w1 + (x + a) * w2) / (w1 + w2)
+            self._l_minus = np.logaddexp(neg, pos - 2.0 * a * x)
+            self._l_plus = np.logaddexp(neg + 2.0 * a * x, pos)
+            self.cdf_at_zero = np.exp(neg - self._l_minus)
+        elif prior.family is SlabFamily.GAUSSIAN:
+            tau = math.hypot(1.0, a)
+            self.log_psi = log_phi(x / tau) - math.log(tau)
+            self.shrinkage, sd = _gaussian_posterior(a, x)
+            self.cdf_at_zero = ndtr(-self.shrinkage / sd)
+        else:
+            self._tables = slab_tables(prior, x.ravel())
+            self.log_psi = self._gather(self._tables, "log_psi")
+            self.shrinkage = self._gather(self._tables, "mean")
+            self.cdf_at_zero = self._gather(self._tables, "cdf_at_zero")
+
+    def _gather(self, tables, attr: str) -> np.ndarray:
+        return np.array([getattr(t, attr) for t in tables]).reshape(self.x.shape)
+
+    @cached_property
+    def second_moment(self) -> np.ndarray:
+        """int t^2 phi(x - t) g(t) dt / psi(x), the slab-conditional second moment."""
+        if self.prior.family is SlabFamily.GAUSSIAN:
+            a = self.prior.scale
+            m = self.shrinkage
+            return m * m + (a * a) / (1.0 + a * a)
+        tables = self._tables if self._tables is not None else slab_tables(self.prior, self.x.ravel())
+        return self._gather(tables, "second_moment")
+
+    def quantile(self, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Generalized inverse of H, inf {u : H(u) >= tau}, of the entries
+        index of the flattened x at the levels tau; -inf where tau <= 0 and
+        +inf where tau >= 1.
+
+        The Gaussian slab posterior gives m + sd ndtri(tau).  The Laplace
+        one gives u = x + a + ndtri_exp(log tau + L - a x) for tau <= H(0),
+        else u = x - a - ndtri_exp(log(1 - tau) + L + a x).  A panel table
+        is inverted by table_quantiles.
+        """
+        out = np.where(tau <= 0.0, -np.inf, np.inf)
+        inside = (tau > 0.0) & (tau < 1.0)
+        k, tau = index[inside], tau[inside]
+        if not k.size:
+            return out
+        x, a = np.take(self.x, k), self.prior.scale
+        if self._tables is not None:
+            out[inside] = table_quantiles([self._tables[j] for j in k], tau)
+        elif self.prior.family is SlabFamily.LAPLACE:
+            below = tau <= np.take(self.cdf_at_zero, k)
+            out[inside] = np.where(below, x + a + ndtri_exp(np.log(tau) + np.take(self._l_minus, k)),
+                                   x - a - ndtri_exp(np.log1p(-tau) + np.take(self._l_plus, k)))
+        else:
+            m, sd = _gaussian_posterior(a, x)
+            out[inside] = m + sd * ndtri(tau)
+        return out
+
+    def cdf(self, k: int, u: float) -> float:
+        """H(u) = psi(x, u) / psi(x) of entry k of the flattened x."""
+        if self._tables is not None:
+            return self._tables[k].cdf(u)
+        return float(np.exp(log_psi_partial(self.prior, self.x.flat[k], u) - self.log_psi.flat[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +451,14 @@ def _table_values(prior: SlabPrior, x: np.ndarray, attr: str):
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_posterior(s: float, x):
-    """Mean and standard deviation of the Gaussian slab posterior N(m, sd^2)."""
-    tau2 = 1.0 + s * s
-    return x * (s * s) / tau2, s / math.sqrt(tau2)
+def _value(a):
+    """a, or a float when a is 0-d."""
+    return a if np.ndim(a) else float(a)
 
 
 def log_psi(prior: SlabPrior, x):
     """log psi(x) = log int phi(x - t) g(t) dt."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("log_psi requires finite arguments")
-    a = prior.scale
-    if prior.family is SlabFamily.LAPLACE:
-        # psi(x) = (a/2) e^{a^2/2} [e^{-a x} Phi(x - a) + e^{a x} Phi(-x - a)]
-        c = math.log(a / 2.0) + 0.5 * a * a
-        out = c + np.logaddexp(-a * x + log_ndtr(x - a), a * x + log_ndtr(-x - a))
-    elif prior.family is SlabFamily.GAUSSIAN:
-        tau = math.hypot(1.0, a)
-        out = log_phi(x / tau) - math.log(tau)
-    else:
-        out = _table_values(prior, x, "log_psi")
-    return out if out.ndim else float(out)
+    return _value(SlabValues(prior, x).log_psi)
 
 
 def log_psi_partial(prior: SlabPrior, x, u):
@@ -422,93 +500,21 @@ def log_psi_partial(prior: SlabPrior, x, u):
                 mesh = _mesh(uu - _QUAD_HALFWIDTH, uu, (0.0,), graded_at=(0.0, uu))
                 _, vals, shift, _ = _panel_quadrature(prior, table.x, mesh)
                 out.flat[j] = shift + math.log(float(vals.sum()))
-    return out if np.ndim(out) else float(out)
-
-
-def _laplace_halves(a: float, x):
-    """(log Phi(-x - a), L - a x, L + a x) for the Laplace slab of rate a.
-
-    The slab posterior of x is N(x + a, 1) below 0 with log weight
-    L- = a x + log Phi(-x - a) and N(x - a, 1) above 0 with log weight
-    L+ = -a x + log Phi(x - a); L = logaddexp(L-, L+).  Both shifted sums
-    are formed without the large terms +/- a x, so no cancellation.
-    """
-    neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
-    return neg, np.logaddexp(neg, pos - 2.0 * a * x), np.logaddexp(neg + 2.0 * a * x, pos)
-
-
-def slab_cdf_at_zero(prior: SlabPrior, x):
-    """H(0) = psi(x, 0) / psi(x) in closed form (Laplace and Gaussian slabs)."""
-    x = np.asarray(x, dtype=float)
-    if prior.family is SlabFamily.LAPLACE:
-        neg, l_minus, _ = _laplace_halves(prior.scale, x)
-        return np.exp(neg - l_minus)
-    if prior.family is SlabFamily.GAUSSIAN:
-        m, sd = _gaussian_posterior(prior.scale, x)
-        return ndtr(-m / sd)
-    raise ValueError(f"no closed-form slab cdf for the {prior.family.value} slab")
-
-
-def slab_quantile(prior: SlabPrior, x, tau):
-    """Inverse of H at tau in (0, 1) in closed form (Laplace and Gaussian).
-
-    The Gaussian slab posterior is N(m, sd^2): m + sd ndtri(tau).  The
-    Laplace one is the two-piece mixture of _laplace_halves; for tau <= H(0)
-    u = x + a + ndtri_exp(log tau + L - a x), else
-    u = x - a - ndtri_exp(log(1 - tau) + L + a x).
-    """
-    x, tau = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(tau, dtype=float))
-    if prior.family is SlabFamily.LAPLACE:
-        a = prior.scale
-        neg, l_minus, l_plus = _laplace_halves(a, x)
-        below = tau <= np.exp(neg - l_minus)
-        return np.where(below, x + a + ndtri_exp(np.log(tau) + l_minus),
-                        x - a - ndtri_exp(np.log1p(-tau) + l_plus))
-    if prior.family is SlabFamily.GAUSSIAN:
-        m, sd = _gaussian_posterior(prior.scale, x)
-        return m + sd * ndtri(tau)
-    raise ValueError(f"no closed-form slab quantile for the {prior.family.value} slab")
+    return _value(out)
 
 
 def posterior_shrinkage(prior: SlabPrior, x):
-    """zeta(x) / psi(x), the slab-conditional posterior mean of a coordinate.
-
-    Computed on the log scale so it stays finite far into the tails.
-    """
-    x = np.asarray(x, dtype=float)
-    a = prior.scale
-    if prior.family is SlabFamily.LAPLACE:
-        # zeta(x) = (a/2) e^{a^2/2} [(x-a) e^{-a x} Phi(x-a) + (x+a) e^{a x} Phi(-x-a)]
-        u1 = -a * x + log_ndtr(x - a)
-        u2 = a * x + log_ndtr(-x - a)
-        m = np.maximum(u1, u2)
-        w1 = np.exp(u1 - m)
-        w2 = np.exp(u2 - m)
-        out = ((x - a) * w1 + (x + a) * w2) / (w1 + w2)
-    elif prior.family is SlabFamily.GAUSSIAN:
-        out = x * (a * a) / (1.0 + a * a)
-    else:
-        out = _table_values(prior, x, "mean")
-    return out if np.ndim(out) else float(out)
+    """zeta(x) / psi(x), the slab-conditional posterior mean of a coordinate,
+    computed on the log scale so it stays finite far into the tails."""
+    return _value(SlabValues(prior, x).shrinkage)
 
 
 def zeta(prior: SlabPrior, x):
     """First-moment convolution int t phi(x - t) g(t) dt (linear domain)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("zeta requires finite arguments")
-    out = posterior_shrinkage(prior, x) * np.exp(log_psi(prior, x))
-    return out if np.ndim(out) else float(out)
+    values = SlabValues(prior, x)
+    return _value(values.shrinkage * np.exp(values.log_psi))
 
 
 def second_moment_ratio(prior: SlabPrior, x):
     """int t^2 phi(x-t) g(t) dt / psi(x): slab-conditional second moment."""
-    x = np.asarray(x, dtype=float)
-    if prior.family is SlabFamily.GAUSSIAN:
-        a = prior.scale
-        tau2 = 1.0 + a * a
-        m = x * (a * a) / tau2
-        out = m * m + (a * a) / tau2
-    else:
-        out = _table_values(prior, x, "second_moment")
-    return out if np.ndim(out) else float(out)
+    return _value(SlabValues(prior, x).second_moment)

@@ -102,3 +102,22 @@ def test_fit_student_slab(obs_file, capsys):
     assert main(["fit", str(obs_file), "--slab", "student", "--df", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(np.isfinite(payload["median"]))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fit", "--slab", "exppower"], "--df 3"),  # the shared --df default is no exponent
+    (["fit", "--slab", "student", "--df", "2"], "--df 2"),
+    (["fit", "--scale", "-1"], "--scale -1"),
+    (["fit", "--prior", "binomial", "--alpha", "1.5"], "--alpha 1.5"),
+    (["fit", "--prior", "complexity", "--kappa", "0"], "--kappa 0"),
+    (["simulate", "--estimators", "PM3"], "--estimators"),
+    (["simulate", "--q", "3"], "--q"),
+    (["simulate", "--kappa", "-1"], "--kappa"),
+])
+def test_invalid_flags_are_usage_errors(obs_file, capsys, argv, flag):
+    command, *flags = argv
+    data = [str(obs_file)] if command == "fit" else ["--n", "25", "--pn", "2", "--reps", "1"]
+    with pytest.raises(SystemExit) as info:
+        main([command, *data, *flags])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err

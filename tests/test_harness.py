@@ -74,6 +74,12 @@ def test_experiment_config_validation():
         ExperimentConfig(replications=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=10, pn_grid=(10,))
+    with pytest.raises(ValueError, match="estimator"):
+        ExperimentConfig(estimators=("PM3",))
+    with pytest.raises(ValueError, match="loss exponent"):
+        ExperimentConfig(qs=(3.0,))
+    with pytest.raises(ValueError, match="kappa"):
+        ExperimentConfig(kappa=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +114,7 @@ def test_identity_errors_finite_where_psi_underflows():
     x = np.array([1000.0, 0.4, -2.0, 3.5])
     layer = harness.SlabLayer(laplace_slab(), x[None])
     posts = layer.fit(complexity_prior(4, 0.1), quantiles=False)
-    dim_err, mean_err = harness._identity_errors(posts, layer.shrinkage)
+    dim_err, mean_err = harness._identity_errors(posts, layer.values.shrinkage)
     assert math.isfinite(dim_err) and dim_err <= 1e-10
     assert math.isfinite(mean_err) and mean_err <= 1e-10
 

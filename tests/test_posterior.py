@@ -475,11 +475,11 @@ def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
 def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
     # the quantile phase inverts the slab cdf exactly: no table cdf and no
     # partial psi is evaluated during a fit
-    from spikeslab import posterior, slabs
+    from spikeslab import slabs
 
     calls = []
     cdf = slabs.SlabCdfTable.cdf
-    partial = posterior.log_psi_partial
+    partial = slabs.log_psi_partial
 
     def counting_cdf(self, u):
         calls.append("cdf")
@@ -490,12 +490,31 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
         return partial(*args)
 
     monkeypatch.setattr(slabs.SlabCdfTable, "cdf", counting_cdf)
-    monkeypatch.setattr(posterior, "log_psi_partial", counting_partial)
+    monkeypatch.setattr(slabs, "log_psi_partial", counting_partial)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
     post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
     assert calls == []
     for field in ("median", "credible_lo", "credible_hi"):
         assert np.all(np.isfinite(getattr(post, field)))
+
+
+def test_laplace_fit_evaluates_log_ndtr_once_per_sign(monkeypatch):
+    # psi, zeta/psi, H(0) and the quantile halves of the Laplace slab all
+    # come from log Phi(x - a) and log Phi(-x - a), evaluated once per fit
+    from spikeslab import slabs
+
+    sizes = []
+    log_ndtr = slabs.log_ndtr
+
+    def counting_log_ndtr(z):
+        sizes.append(np.size(z))
+        return log_ndtr(z)
+
+    monkeypatch.setattr(slabs, "log_ndtr", counting_log_ndtr)
+    x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
+    post = fit(x, complexity_prior(8, 0.1), laplace_slab(), quantiles=True)
+    assert sizes == [8, 8]
+    assert np.all(np.isfinite(post.credible_hi))
 
 
 # -- blocks of fits ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from spikeslab import (
     zeta,
 )
 
-from spikeslab.slabs import SlabCdfTable, table_quantiles
+from spikeslab.slabs import SlabCdfTable, SlabValues, table_quantiles
 
 from _oracle import make_log_density, quad_psi, quad_psi_partial, quad_zeta
 
@@ -57,8 +57,6 @@ def test_invalid_parameters_rejected():
         exp_power_slab(0.0)
     with pytest.raises(ValueError):
         exp_power_slab(2.5)
-    with pytest.raises(ValueError):
-        laplace_slab(1.0, quadrature_tol=0.5)
 
 
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
@@ -336,7 +334,7 @@ LEVELS = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
 @pytest.mark.parametrize("prior", TABLE_SLABS, ids=str)
 def test_table_quantile_inverts_cdf(prior, x):
     table = SlabCdfTable(prior, x)
-    for tau, u in zip(LEVELS, table.quantile(LEVELS)):
+    for tau, u in zip(LEVELS, table_quantiles([table] * LEVELS.size, LEVELS)):
         assert table.cdf(u) == pytest.approx(tau, rel=1e-11, abs=1e-16)
     assert table.cdf_at_zero == pytest.approx(table.cdf(0.0), abs=1e-15)
 
@@ -348,7 +346,56 @@ def test_table_quantiles_batch_matches_single_tables(prior):
     tables = [SlabCdfTable(prior, x) for x in (0.0, 1.3, -4.0, 1e2, -1e3, 1.3)]
     tau = np.array([0.5, 1e-6, 0.975, 0.025, 1.0 - 1e-6, 0.3])
     batch = table_quantiles(tables, tau)
-    assert batch.tolist() == [t.quantile(s) for t, s in zip(tables, tau)]
+    assert batch.tolist() == [table_quantiles([t], np.array([s]))[0]
+                              for t, s in zip(tables, tau)]
+
+
+# -- the slab functions of a block ---------------------------------------------------
+
+VALUE_SLABS = [laplace_slab(), laplace_slab(50.0), gaussian_slab(), gaussian_slab(2.0),
+               student_slab(3.0), exp_power_slab(0.5), exp_power_slab(1.5)]
+BLOCK = np.array([[0.3, -1.2, 1e2], [-1e2, -1e3, 1e4]])
+
+
+@pytest.mark.parametrize("prior", VALUE_SLABS, ids=str)
+def test_slab_values_of_a_block_equal_the_entrywise_functions(prior):
+    values = SlabValues(prior, BLOCK)
+    for name, attr in (("log_psi", log_psi), ("shrinkage", posterior_shrinkage),
+                       ("second_moment", second_moment_ratio)):
+        block = getattr(values, name)
+        assert block.shape == BLOCK.shape
+        assert block.tolist() == [[attr(prior, x) for x in row] for row in BLOCK], name
+    assert zeta(prior, BLOCK).tolist() == (values.shrinkage * np.exp(values.log_psi)).tolist()
+    if prior.family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
+        tables = [SlabCdfTable(prior, x) for x in BLOCK.ravel()]
+        for name, attr in (("log_psi", "log_psi"), ("shrinkage", "mean"),
+                           ("second_moment", "second_moment"), ("cdf_at_zero", "cdf_at_zero")):
+            assert getattr(values, name).ravel().tolist() == [getattr(t, attr) for t in tables]
+        tau = np.linspace(0.1, 0.9, BLOCK.size)
+        k = np.arange(BLOCK.size)
+        assert values.quantile(k, tau).tolist() == table_quantiles(tables, tau).tolist()
+        assert [values.cdf(j, 0.5) for j in k] == [t.cdf(0.5) for t in tables]
+    else:
+        # H(0) and H(u) against the partial integral
+        h0 = np.exp(log_psi_partial(prior, BLOCK, 0.0) - values.log_psi)
+        assert values.cdf_at_zero == pytest.approx(h0, rel=1e-12, abs=1e-300)
+        for j, x in enumerate(BLOCK.ravel()):
+            h = math.exp(log_psi_partial(prior, x, x - 0.5) - log_psi(prior, x))
+            assert values.cdf(j, x - 0.5) == h
+
+
+@pytest.mark.parametrize("prior", VALUE_SLABS, ids=str)
+def test_slab_values_quantile_inverts_cdf(prior):
+    values = SlabValues(prior, BLOCK)
+    k = np.repeat(np.arange(BLOCK.size), LEVELS.size)
+    tau = np.tile(LEVELS, BLOCK.size)
+    u = values.quantile(k, tau)
+    # H(u) = exp(log psi(x, u) - log psi(x)) carries the rounding of log psi
+    rounding = 4.0 * np.finfo(float).eps * np.abs(values.log_psi.ravel())
+    for j, level, v in zip(k, tau, u):
+        assert values.cdf(j, v) == pytest.approx(level, rel=1e-11 + rounding[j])
+    # levels outside (0, 1) give the ends of the real line
+    assert values.quantile(np.array([0, 1]), np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
 
 
 # -- property tests ----------------------------------------------------------------
