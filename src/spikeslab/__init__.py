@@ -27,7 +27,6 @@ from .harness import (
 from .logpoly import product_of_linear_factors
 from .posterior import (
     Posterior,
-    PosteriorSummary,
     SlabLayer,
     eb_binomial_weight,
     fit,
@@ -42,7 +41,6 @@ from .slabs import (
     laplace_slab,
     log_g,
     log_psi,
-    log_psi_partial,
     posterior_shrinkage,
     second_moment_ratio,
     student_slab,

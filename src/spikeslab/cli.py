@@ -141,17 +141,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _summary_json(post) -> dict:
-    s = post.summary
     return {
         "n": int(post.x.size),
-        "log_partition": s.log_partition,
-        "dim_log_pmf": s.dim_log_pmf.tolist(),
-        "inclusion_prob": s.inclusion_prob.tolist(),
-        "mean": s.mean.tolist(),
-        "median": s.median.tolist(),
-        "credible_lo": s.credible_lo.tolist(),
-        "credible_hi": s.credible_hi.tolist(),
-        "levels": list(s.levels),
+        "log_partition": post.log_partition,
+        "dim_log_pmf": post.dim_log_pmf.tolist(),
+        "inclusion_prob": post.inclusion_prob.tolist(),
+        "mean": post.mean.tolist(),
+        "median": post.median.tolist(),
+        "credible_lo": post.credible_lo.tolist(),
+        "credible_hi": post.credible_hi.tolist(),
+        "levels": list(post.levels),
     }
 
 
@@ -172,8 +171,11 @@ def main(argv=None) -> int:
     def dim_prior(n: int):
         return usage(lambda: build_dim_prior(args, n), _prior_flags(args))
 
+    def observations():
+        return usage(lambda: harness.read_observations(args.data), "data file")
+
     if args.command == "fit":
-        x = harness.read_observations(args.data)
+        x = observations()
         post = fit(x, dim_prior(x.size), slab)
         payload = json.dumps(_summary_json(post), indent=1)
         if args.out:
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
             replications=args.reps, estimators=tuple(args.estimators),
             kappa=args.kappa, b=args.b, slab=slab,
             qs=tuple(args.q), seed=args.seed, threads=args.threads,
-        ), "--n, --pn, --reps, --kappa, --b or --q")
+        ), "--n, --pn, --reps, --estimators, --kappa, --b or --q")
         table = harness.run_table(config)
         if args.out:
             (table.to_json if args.format == "json" else table.to_csv)(args.out)
@@ -226,9 +228,10 @@ def main(argv=None) -> int:
                   f"ratio={ratio:.3f}")
 
     elif args.command == "intervals":
-        x = harness.read_observations(args.data)
-        harness.emit_interval_data(x, dim_prior(x.size), slab, args.out,
-                                   levels=tuple(args.levels), fmt=args.format)
+        x = observations()
+        usage(lambda: harness.emit_interval_data(x, dim_prior(x.size), slab, args.out,
+                                                 levels=tuple(args.levels), fmt=args.format),
+              "--levels " + " ".join(f"{v:g}" for v in args.levels))
         print(f"wrote {x.size} rows to {args.out}")
 
     return 0

@@ -64,6 +64,8 @@ class ExperimentConfig:
         for p_n in self.pn_grid:
             if not 0 <= p_n < self.n:
                 raise ValueError(f"grid sparsity {p_n} invalid for n = {self.n}")
+        if self.n < 2 and {"HT", "HTO"} & set(self.estimators):
+            raise ValueError(f"hard thresholding (HT, HTO) needs n >= 2, got n = {self.n}")
         if not (self.kappa > 0 and self.b > 0):
             raise ValueError("kappa and b must be positive")
 
@@ -353,7 +355,7 @@ def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
 
 
 def read_observations(path) -> np.ndarray:
-    """One real per line, or a single-column CSV with header 'x'."""
+    """One finite real per line, or a single-column CSV with header 'x'."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -363,9 +365,12 @@ def read_observations(path) -> np.ndarray:
             if lineno == 1 and token.lower() == "x":
                 continue
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: not a number: {token!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: not a finite number: {token!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no observations found")
     return np.asarray(values)

@@ -29,25 +29,6 @@ from .slabs import SlabPrior, SlabValues, log_phi
 DEFAULT_LEVELS = (0.025, 0.975)
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-coordinate posterior summaries plus the dimension pmf."""
-
-    log_partition: float
-    dim_log_pmf: np.ndarray
-    inclusion_prob: np.ndarray
-    mean: np.ndarray
-    median: np.ndarray
-    credible_lo: np.ndarray
-    credible_hi: np.ndarray
-    levels: tuple = DEFAULT_LEVELS
-
-    @property
-    def expected_dimension(self) -> float:
-        p = np.arange(self.dim_log_pmf.size)
-        return float(np.sum(p * np.exp(self.dim_log_pmf)))
-
-
 def validate_observations(x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size == 0:
@@ -86,9 +67,10 @@ def _medians(values: SlabValues, q) -> np.ndarray:
 
 @dataclass(eq=False, repr=False)
 class Posterior:
-    """Fitted posterior of one vector of observations: summary fields plus
-    marginal cdf / quantile access.  Built by fit, fit_many or SlabLayer.fit;
-    median and the credible bounds are None when fitted without quantiles."""
+    """Fitted posterior of one vector of observations: summary fields, the
+    expected dimension, and marginal cdf / quantile access.  Built by fit,
+    fit_many or SlabLayer.fit; median and the credible bounds are None when
+    fitted without quantiles."""
 
     x: np.ndarray
     dim_prior: DimensionPrior
@@ -101,6 +83,12 @@ class Posterior:
     median: np.ndarray | None
     credible_lo: np.ndarray | None
     credible_hi: np.ndarray | None
+
+    @property
+    def expected_dimension(self) -> float:
+        """Posterior expected number of nonzero coordinates, from the pmf."""
+        p = np.arange(self.dim_log_pmf.size)
+        return float(np.sum(p * np.exp(self.dim_log_pmf)))
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
@@ -137,21 +125,6 @@ class Posterior:
         if not 0 <= i < self.x.size:
             raise IndexError(f"coordinate {i} out of range 0..{self.x.size - 1}")
 
-    @property
-    def summary(self) -> PosteriorSummary:
-        if self.median is None:
-            raise ValueError("posterior was fitted with quantiles=False")
-        return PosteriorSummary(
-            log_partition=self.log_partition,
-            dim_log_pmf=self.dim_log_pmf,
-            inclusion_prob=self.inclusion_prob,
-            mean=self.mean,
-            median=self.median,
-            credible_lo=self.credible_lo,
-            credible_hi=self.credible_hi,
-            levels=self.levels,
-        )
-
 
 class SlabLayer:
     """The slab functions of an (R, n) block of observations, evaluated once.
@@ -187,7 +160,11 @@ class SlabLayer:
         """The exact posterior of every row: priors is one DimensionPrior for
         all rows or a sequence of one per row.  The rows under a binomial
         prior take the product of the factors alone; all the others share
-        one batched forward-backward pass for q_i = d log Z / d log r_i."""
+        one batched forward-backward pass for q_i = d log Z / d log r_i.
+        levels are the two levels lo < hi in (0, 1) of the credible bounds."""
+        levels = tuple(levels)
+        if not (len(levels) == 2 and 0.0 < levels[0] < levels[1] < 1.0):
+            raise ValueError(f"credible levels must be two levels 0 < lo < hi < 1, got {levels}")
         R, n = self.x.shape
         if isinstance(priors, DimensionPrior):
             lam = np.tile(priors.log_model_weights(), (R, 1))
@@ -237,7 +214,7 @@ class SlabLayer:
             # a copy: a Posterior kept alone does not keep its block alive
             return None if a is None else a[r].copy()
 
-        return [Posterior(row(self.x, r), priors[r], self.slab, tuple(levels),
+        return [Posterior(row(self.x, r), priors[r], self.slab, levels,
                           float(log_partition[r]), row(dim_log_pmf, r), row(q, r),
                           row(mean, r), row(median, r), row(lo, r), row(hi, r))
                 for r in range(R)]

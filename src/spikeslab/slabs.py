@@ -20,12 +20,14 @@ and the Laplace second moment, come from one panel Gauss-Legendre table per
 distinct observation (SlabCdfTable).  log_psi, posterior_shrinkage, zeta and
 second_moment_ratio read a SlabValues.
 
-The slab cdf H(u) = psi(x, u) / psi(x) is inverted exactly, with no
-bisection (SlabValues.quantile): the Gaussian slab posterior is normal; the
-Laplace one is a two-piece mixture of normals split at 0, inverted by one
-ndtri_exp call on the piece that holds the level; a panel table is inverted
-inside the one panel that holds the level, by safeguarded Newton steps
-batched over every coordinate of a call (table_quantiles).
+The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
+inverted exactly, with no bisection (SlabValues.quantile), from the same
+arrays: the Gaussian slab posterior is normal; the Laplace one is a two-piece
+mixture of normals split at 0, with the log weights psi comes from, inverted
+by one ndtri_exp call on the piece that holds the level; a panel table sums
+its panels up to u, and is inverted inside the one panel that holds the
+level by safeguarded Newton steps batched over every coordinate of a call
+(table_quantiles).
 """
 
 from __future__ import annotations
@@ -141,16 +143,6 @@ def log_g(prior: SlabPrior, t):
     return out if out.ndim else float(out)
 
 
-def _log_diff_exp(log_a, log_b):
-    """log(e^a - e^b) for a >= b elementwise, -inf when equal."""
-    log_a = np.asarray(log_a, dtype=float)
-    log_b = np.asarray(log_b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = -np.expm1(np.minimum(log_b - log_a, 0.0))
-        out = np.where(d > 0.0, log_a + np.log(np.where(d > 0.0, d, 1.0)), -np.inf)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # panel quadrature (Student, exponential-power, Laplace second moment)
 # ---------------------------------------------------------------------------
@@ -185,14 +177,14 @@ def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
     return lo, hi, points
 
 
-def _mesh(lo: float, hi: float, points, graded_at) -> np.ndarray:
+def _mesh(lo: float, hi: float, points) -> np.ndarray:
     """Knots on [lo, hi]: a uniform spacing of at most _QUAD_HALFWIDTH / 32,
-    the given points, and knots at c +/- 2^-k (k = 1..43) around each c in
-    graded_at, which resolve a kink or a steep end of the integrand there."""
-    knots = [np.linspace(lo, hi, math.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH) + 1),
-             np.asarray(points, dtype=float)]
-    knots += [c + np.concatenate([-_GRADED, _GRADED]) for c in graded_at]
-    mesh = np.unique(np.concatenate(knots))
+    the given points, and knots at +/- 2^-k (k = 1..43), which resolve the
+    kink of g at 0."""
+    knots = np.concatenate([
+        np.linspace(lo, hi, math.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH) + 1),
+        np.asarray(points, dtype=float), -_GRADED, _GRADED])
+    mesh = np.unique(knots)
     return mesh[(mesh >= lo) & (mesh <= hi)]
 
 
@@ -255,8 +247,7 @@ class SlabCdfTable:
     def __init__(self, prior: SlabPrior, x: float):
         self.prior = prior
         self.x = float(x)
-        lo, hi, points = _window(prior, self.x)
-        self.mesh = _mesh(lo, hi, points, graded_at=(0.0,))
+        self.mesh = _mesh(*_window(prior, self.x))
         t, vals, self._shift, self.error = _panel_quadrature(prior, self.x, self.mesh)
         self.cum = np.concatenate([[0.0], np.cumsum(vals.sum(axis=1))])
         self.total = float(self.cum[-1])
@@ -440,14 +431,27 @@ class SlabValues:
         return out
 
     def cdf(self, k: int, u: float) -> float:
-        """H(u) = psi(x, u) / psi(x) of entry k of the flattened x."""
+        """H(u) = psi(x, u) / psi(x) of entry k of the flattened x, from the
+        arrays quantile inverts.
+
+        The Gaussian slab posterior gives Phi((u - m) / sd).  The Laplace one
+        gives exp(log Phi(u - x - a) - (L - a x)) for u <= 0, else
+        1 - exp(log Phi(x - a - u) - (L + a x)).  A panel table evaluates
+        its own cdf.
+        """
         if self._tables is not None:
             return self._tables[k].cdf(u)
-        return float(np.exp(log_psi_partial(self.prior, self.x.flat[k], u) - self.log_psi.flat[k]))
+        x, a = self.x.flat[k], self.prior.scale
+        if self.prior.family is SlabFamily.LAPLACE:
+            if u <= 0.0:
+                return float(np.exp(log_ndtr(u - x - a) - self._l_minus.flat[k]))
+            return float(-np.expm1(log_ndtr(x - a - u) - self._l_plus.flat[k]))
+        m, sd = _gaussian_posterior(a, x)
+        return float(ndtr((u - m) / sd))
 
 
 # ---------------------------------------------------------------------------
-# psi, partial psi, zeta
+# psi, zeta
 # ---------------------------------------------------------------------------
 
 
@@ -459,48 +463,6 @@ def _value(a):
 def log_psi(prior: SlabPrior, x):
     """log psi(x) = log int phi(x - t) g(t) dt."""
     return _value(SlabValues(prior, x).log_psi)
-
-
-def log_psi_partial(prior: SlabPrior, x, u):
-    """log psi(x, u) = log int_{-inf}^{u} phi(x - t) g(t) dt.
-
-    For the Student and exponential-power slabs this is log psi(x) + log H(u)
-    from the panel table.  Where the table's window does not reach
-    _QUAD_HALFWIDTH below u, or H(u) underflows, the integral runs over
-    [u - _QUAD_HALFWIDTH, u] instead, on its own log scale and on knots
-    graded toward u, where the integrand is largest.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ValueError("log_psi_partial requires finite arguments")
-    x, u = np.broadcast_arrays(x, u)
-    a = prior.scale
-    if prior.family is SlabFamily.LAPLACE:
-        c = math.log(a / 2.0) + 0.5 * a * a
-        # mass of the negative half-line up to min(u, 0)
-        neg = c + a * x + log_ndtr(np.minimum(u, 0.0) - x - a)
-        # mass of (0, u] for u > 0: Phi(v - x + a) - Phi(a - x), or the same
-        # difference of upper tails where a > x, before both Phi round to 1
-        v = np.maximum(u, 0.0)
-        lower = _log_diff_exp(log_ndtr(v - x + a), log_ndtr(a - x))
-        upper = _log_diff_exp(log_ndtr(x - a), log_ndtr(x - a - v))
-        pos = c - a * x + np.where(a > x, upper, lower)
-        out = np.where(u > 0.0, np.logaddexp(neg, pos), neg)
-    elif prior.family is SlabFamily.GAUSSIAN:
-        m, sd = _gaussian_posterior(a, x)
-        out = log_psi(prior, x) + log_ndtr((u - m) / sd)
-    else:
-        out = np.empty(x.shape)
-        for j, (table, uu) in enumerate(zip(slab_tables(prior, x.ravel()), u.ravel())):
-            h = table.cdf(uu) if uu - _QUAD_HALFWIDTH >= table.mesh[0] else 0.0
-            if h > 0.0:
-                out.flat[j] = table.log_psi + math.log(h)
-            else:
-                mesh = _mesh(uu - _QUAD_HALFWIDTH, uu, (0.0,), graded_at=(0.0, uu))
-                _, vals, shift, _ = _panel_quadrature(prior, table.x, mesh)
-                out.flat[j] = shift + math.log(float(vals.sum()))
-    return _value(out)
 
 
 def posterior_shrinkage(prior: SlabPrior, x):

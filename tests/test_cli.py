@@ -89,12 +89,27 @@ def test_intervals_csv(obs_file, tmp_path, capsys):
     assert "wrote 15 rows" in capsys.readouterr().out
 
 
-def test_intervals_empty_input_errors(tmp_path):
+def test_intervals_empty_input_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     out = tmp_path / "iv.csv"
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as info:
         main(["intervals", str(empty), "--out", str(out)])
+    assert info.value.code == 2
+    assert "no observations found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "intervals"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_nonfinite_observation_is_a_usage_error(tmp_path, capsys, command, token):
+    data = tmp_path / "obs.txt"
+    data.write_text(f"1.0\n{token}\n2.0\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, str(data), "--out", str(out)])
+    assert info.value.code == 2
+    assert f"{data}: line 2: not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -113,11 +128,17 @@ def test_fit_student_slab(obs_file, capsys):
     (["simulate", "--estimators", "PM3"], "--estimators"),
     (["simulate", "--q", "3"], "--q"),
     (["simulate", "--kappa", "-1"], "--kappa"),
+    (["simulate", "--n", "1", "--pn", "0"], "--n"),  # hard thresholding needs n >= 2
+    (["intervals", "--levels", "0", "1.5"], "--levels 0 1.5"),
+    (["intervals", "--levels", "0.9", "0.1"], "--levels 0.9 0.1"),
 ])
-def test_invalid_flags_are_usage_errors(obs_file, capsys, argv, flag):
+def test_invalid_flags_are_usage_errors(obs_file, tmp_path, capsys, argv, flag):
     command, *flags = argv
-    data = [str(obs_file)] if command == "fit" else ["--n", "25", "--pn", "2", "--reps", "1"]
+    data = {"fit": [str(obs_file)],
+            "intervals": [str(obs_file), "--out", str(tmp_path / "iv.csv")],
+            "simulate": ["--n", "25", "--pn", "2", "--reps", "1"]}[command]
     with pytest.raises(SystemExit) as info:
         main([command, *data, *flags])
     assert info.value.code == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "iv.csv").exists()

@@ -80,6 +80,11 @@ def test_experiment_config_validation():
         ExperimentConfig(qs=(3.0,))
     with pytest.raises(ValueError, match="kappa"):
         ExperimentConfig(kappa=0.0)
+    with pytest.raises(ValueError, match="n >= 2"):
+        ExperimentConfig(n=1, pn_grid=(0,))
+    with pytest.raises(ValueError, match="n >= 2"):
+        ExperimentConfig(n=1, pn_grid=(0,), estimators=("PM1", "HTO"))
+    ExperimentConfig(n=1, pn_grid=(0,), estimators=("PM1", "EBMed"))  # no thresholding
 
 
 @pytest.fixture(scope="module")
@@ -330,10 +335,14 @@ def test_read_observations_csv_header(tmp_path):
     assert np.array_equal(read_observations(path), [0.5, 1.5])
 
 
-def test_read_observations_parse_error_has_line_number(tmp_path):
+@pytest.mark.parametrize("token,problem", [("bogus", "not a number"),
+                                           ("nan", "not a finite number"),
+                                           ("inf", "not a finite number"),
+                                           ("-Infinity", "not a finite number")])
+def test_read_observations_parse_error_has_line_number(tmp_path, token, problem):
     path = tmp_path / "bad.txt"
-    path.write_text("1.0\nbogus\n2.0\n")
-    with pytest.raises(ValueError, match="line 2"):
+    path.write_text(f"1.0\n{token}\n2.0\n")
+    with pytest.raises(ValueError, match=f"line 2: {problem}: '{token}'"):
         read_observations(path)
 
 

@@ -371,17 +371,24 @@ def test_light_quadrature_slab_matches_gaussian_far_from_zero():
 def test_quantiles_false_skips_summary():
     post = fit(np.zeros(3), complexity_prior(3, 0.1), laplace_slab(), quantiles=False)
     assert post.median is None
-    with pytest.raises(ValueError):
-        _ = post.summary
 
 
 def test_summary_fields_roundtrip(small_fit):
-    s = small_fit.summary
-    assert s.levels == (0.025, 0.975)
-    assert s.expected_dimension == pytest.approx(
+    assert small_fit.levels == (0.025, 0.975)
+    assert small_fit.expected_dimension == pytest.approx(
         small_fit.inclusion_prob.sum(), abs=1e-8
     )
-    assert np.all((s.inclusion_prob >= 0) & (s.inclusion_prob <= 1))
+    assert np.all((small_fit.inclusion_prob >= 0) & (small_fit.inclusion_prob <= 1))
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.5), (0.9, 0.1), (0.5, 0.5), (0.1,),
+                                    (0.1, 0.5, 0.9), (0.1, float("nan"))])
+def test_fit_rejects_invalid_levels(levels):
+    x = np.array([4.0, 0.2])
+    with pytest.raises(ValueError, match="credible levels"):
+        fit(x, complexity_prior(2, 0.1), laplace_slab(), levels=levels)
+    with pytest.raises(ValueError, match="credible levels"):
+        fit(x, complexity_prior(2, 0.1), laplace_slab(), levels=levels, quantiles=False)
 
 
 def test_custom_levels():
@@ -473,30 +480,30 @@ def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
     ids=str,
 )
 def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
-    # the quantile phase inverts the slab cdf exactly: no table cdf and no
-    # partial psi is evaluated during a fit
+    # the quantile phase inverts the slab cdf exactly: no slab cdf, of a
+    # table or of the closed forms, is evaluated during a fit
     from spikeslab import slabs
 
     calls = []
-    cdf = slabs.SlabCdfTable.cdf
-    partial = slabs.log_psi_partial
+    table_cdf, values_cdf = slabs.SlabCdfTable.cdf, slabs.SlabValues.cdf
 
-    def counting_cdf(self, u):
-        calls.append("cdf")
-        return cdf(self, u)
+    def counting_table_cdf(self, u):
+        calls.append("SlabCdfTable.cdf")
+        return table_cdf(self, u)
 
-    def counting_partial(*args):
-        calls.append("log_psi_partial")
-        return partial(*args)
+    def counting_values_cdf(self, k, u):
+        calls.append("SlabValues.cdf")
+        return values_cdf(self, k, u)
 
-    monkeypatch.setattr(slabs.SlabCdfTable, "cdf", counting_cdf)
-    monkeypatch.setattr(slabs, "log_psi_partial", counting_partial)
+    monkeypatch.setattr(slabs.SlabCdfTable, "cdf", counting_table_cdf)
+    monkeypatch.setattr(slabs.SlabValues, "cdf", counting_values_cdf)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
     post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
     assert calls == []
     for field in ("median", "credible_lo", "credible_hi"):
         assert np.all(np.isfinite(getattr(post, field)))
-
+    post.marginal_cdf(0, 0.5)  # the spies do see a cdf evaluation
+    assert "SlabValues.cdf" in calls
 
 def test_laplace_fit_evaluates_log_ndtr_once_per_sign(monkeypatch):
     # psi, zeta/psi, H(0) and the quantile halves of the Laplace slab all

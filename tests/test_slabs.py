@@ -14,7 +14,6 @@ from spikeslab import (
     laplace_slab,
     log_g,
     log_psi,
-    log_psi_partial,
     posterior_shrinkage,
     second_moment_ratio,
     student_slab,
@@ -141,46 +140,72 @@ def test_log_psi_symmetry_far_tails():
         assert np.isfinite(log_psi(prior, x))
 
 
-# -- partial psi ---------------------------------------------------------------
+# -- the slab cdf H(u) = psi(x, u) / psi(x) -------------------------------------------
+
+
+def _cdf(prior: SlabPrior, x: float, u):
+    values = SlabValues(prior, x)
+    return np.array([values.cdf(0, v) for v in np.atleast_1d(u)])
 
 
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
-def test_partial_psi_total_integral(prior):
+def test_slab_cdf_total_mass(prior):
     for x in (-2.5, 0.0, 1.3):
-        assert log_psi_partial(prior, x, 50.0) == pytest.approx(
-            log_psi(prior, x), rel=1e-9
-        )
+        assert SlabValues(prior, x).cdf(0, 50.0) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_partial_psi_symmetry_split():
-    prior = laplace_slab()
-    assert log_psi_partial(prior, 0.0, 0.0) == pytest.approx(
-        log_psi(prior, 0.0) - math.log(2.0), rel=1e-12
-    )
+def test_slab_cdf_symmetry_split():
+    assert SlabValues(laplace_slab(), 0.0).cdf(0, 0.0) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
-def test_partial_psi_matches_quadrature_oracle(prior):
+def test_slab_cdf_matches_quadrature_oracle(prior):
     density = _oracle_density(prior)
     for x, u in [(1.5, 0.7), (-2.0, -0.5), (0.0, 2.0), (3.0, -1.0), (2.0, 2.0)]:
-        assert log_psi_partial(prior, x, u) == pytest.approx(
-            math.log(quad_psi_partial(density, x, u)), rel=1e-7
-        )
+        expected = quad_psi_partial(density, x, u) / quad_psi(density, x)
+        assert SlabValues(prior, x).cdf(0, u) == pytest.approx(expected, rel=1e-7)
 
 
 @pytest.mark.parametrize("u", [1e-3, 1e-2, 5e-2, 1.0])
-def test_laplace_partial_psi_above_zero_at_large_rate(u):
-    # a - x = 45.6: Phi(u - x + a) and Phi(a - x) both round to 1, so the mass
-    # of (0, u] is the difference of the upper tails
+def test_laplace_slab_cdf_above_zero_at_large_rate(u):
+    # a - x = 45.6: the mass of (0, u] is a difference of two normal upper
+    # tails, taken as 1 - H(u) from the tail above u
     prior = laplace_slab(50.0)
-    expected = math.log(quad_psi_partial(_oracle_density(prior), 4.4, u))
-    assert log_psi_partial(prior, 4.4, u) == pytest.approx(expected, rel=1e-8)
+    density = _oracle_density(prior)
+    expected = quad_psi_partial(density, 4.4, u) / quad_psi(density, 4.4)
+    assert SlabValues(prior, 4.4).cdf(0, u) == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "prior,x,u",
+    [(laplace_slab(1.0), 30.0, 28.5), (laplace_slab(1.0), -7.0, -12.0),
+     (laplace_slab(1e3), 1e3, 0.0), (laplace_slab(1e3), 1e4, 9.0e3 - 3.0),
+     (laplace_slab(1e-3), -1e3, -1e3 + 2.0), (gaussian_slab(1e-3), 1e2, 0.0),
+     (gaussian_slab(1e-3), -1e4, -1e-2), (gaussian_slab(1e3), 1e4, 1e4 + 1.0)],
+    ids=str,
+)
+def test_closed_form_slab_cdf_far_tails_match_high_precision(prior, x, u):
+    # the two-piece normal mixture (Laplace) and the normal posterior
+    # (Gaussian) in 60-digit arithmetic, far in the tails and at extreme
+    # scales; at rate 1e3 the log-Phi terms reach 2e6, whose rounding,
+    # eps * 2e6 = 4e-10, bounds the relative accuracy of H
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        a, xm, um = mp.mpf(prior.scale), mp.mpf(x), mp.mpf(u)
+        if prior.family is SlabFamily.LAPLACE:
+            lower = mp.exp(a * xm) * mp.ncdf(min(um, 0) - xm - a)
+            upper = mp.exp(-a * xm) * (mp.ncdf(xm - a) - mp.ncdf(xm - a - max(um, 0)))
+            total = mp.exp(a * xm) * mp.ncdf(-xm - a) + mp.exp(-a * xm) * mp.ncdf(xm - a)
+            expected = float((lower + upper) / total)
+        else:
+            tau2 = 1 + a * a
+            expected = float(mp.ncdf((um - xm * a * a / tau2) / (a / mp.sqrt(tau2))))
+    assert SlabValues(prior, x).cdf(0, u) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
-def test_partial_psi_nondecreasing_in_u(prior):
-    u = np.linspace(-6, 6, 41)
-    vals = log_psi_partial(prior, 1.2, u)
+def test_slab_cdf_nondecreasing_in_u(prior):
+    vals = _cdf(prior, 1.2, np.linspace(-6, 6, 41))
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -282,26 +307,6 @@ def test_quadrature_error_carries_estimate():
     assert "0.125" in str(err) or "1.250e-01" in str(err)
 
 
-def test_partial_psi_left_of_table_window():
-    # u lies below, or within 13 of the left end of, the window x +/- 13 of
-    # the panel table, so the integral runs over [u - 13, u] instead; the
-    # reference values are adaptive quadrature at relative tolerance 1e-13
-    for u, ref in ((-20.0, -214.72849752012755), (-12.9, -95.77834018560463)):
-        val = log_psi_partial(student_slab(3.0), 0.0, u)
-        assert np.isfinite(val)
-        assert val == pytest.approx(ref, rel=1e-8)
-
-
-@pytest.mark.parametrize("scale,x,u", [(0.3, 1e3, 0.0), (0.3, 1e3, 35.0), (1e-3, 0.0, -0.1)])
-def test_partial_psi_steep_light_slab_matches_gaussian(scale, x, u):
-    # exp(-(t/s)^2) is the Gaussian slab of std s / sqrt(2); psi(x, u) / psi(x)
-    # underflows at these u, and the integrand rises steeply toward u
-    gauss = gaussian_slab(scale / math.sqrt(2.0))
-    assert log_psi_partial(exp_power_slab(2.0, scale), x, u) == pytest.approx(
-        log_psi_partial(gauss, x, u), rel=1e-10
-    )
-
-
 def test_unresolved_panel_table_raises_quadrature_error():
     # a Student slab of scale 1e-15 is narrower than the finest knots at 0
     with pytest.raises(QuadratureError) as info:
@@ -376,12 +381,11 @@ def test_slab_values_of_a_block_equal_the_entrywise_functions(prior):
         assert values.quantile(k, tau).tolist() == table_quantiles(tables, tau).tolist()
         assert [values.cdf(j, 0.5) for j in k] == [t.cdf(0.5) for t in tables]
     else:
-        # H(0) and H(u) against the partial integral
-        h0 = np.exp(log_psi_partial(prior, BLOCK, 0.0) - values.log_psi)
-        assert values.cdf_at_zero == pytest.approx(h0, rel=1e-12, abs=1e-300)
+        # H(0) is the cdf at 0, bit for bit, and H(u) of an entry is that of
+        # the entry alone
         for j, x in enumerate(BLOCK.ravel()):
-            h = math.exp(log_psi_partial(prior, x, x - 0.5) - log_psi(prior, x))
-            assert values.cdf(j, x - 0.5) == h
+            assert values.cdf(j, 0.0) == values.cdf_at_zero.flat[j]
+            assert values.cdf(j, x - 0.5) == SlabValues(prior, x).cdf(0, x - 0.5)
 
 
 @pytest.mark.parametrize("prior", VALUE_SLABS, ids=str)
@@ -390,10 +394,8 @@ def test_slab_values_quantile_inverts_cdf(prior):
     k = np.repeat(np.arange(BLOCK.size), LEVELS.size)
     tau = np.tile(LEVELS, BLOCK.size)
     u = values.quantile(k, tau)
-    # H(u) = exp(log psi(x, u) - log psi(x)) carries the rounding of log psi
-    rounding = 4.0 * np.finfo(float).eps * np.abs(values.log_psi.ravel())
     for j, level, v in zip(k, tau, u):
-        assert values.cdf(j, v) == pytest.approx(level, rel=1e-11 + rounding[j])
+        assert values.cdf(j, v) == pytest.approx(level, rel=1e-11)
     # levels outside (0, 1) give the ends of the real line
     assert values.quantile(np.array([0, 1]), np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
 
@@ -414,7 +416,6 @@ def test_laplace_psi_symmetric_property(x, rate):
     u1=st.floats(-8, 8),
     u2=st.floats(-8, 8),
 )
-def test_partial_psi_monotone_property(x, u1, u2):
-    lo, hi = min(u1, u2), max(u1, u2)
-    prior = laplace_slab()
-    assert log_psi_partial(prior, x, lo) <= log_psi_partial(prior, x, hi) + 1e-12
+def test_slab_cdf_monotone_property(x, u1, u2):
+    lo, hi = _cdf(laplace_slab(), x, [min(u1, u2), max(u1, u2)])
+    assert lo <= hi + 1e-12
