@@ -83,7 +83,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_slab_flags(p)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("simulate", help="estimator-comparison table")
+    p = sub.add_parser("simulate", help="estimator-comparison table",
+                       description="estimator-comparison table; exits with status 1, "
+                                   "after the table, when a replication failed")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--pn", type=int, nargs="+", default=[25, 50, 100])
     p.add_argument("--amp", type=float, nargs="+", default=[3.0, 4.0, 5.0])
@@ -200,6 +202,8 @@ def main(argv=None) -> int:
                       f"loss={c.mean_loss:9.2f} se={c.se:.2f} reps={c.reps}")
         for f in table.failures:
             print(f"FAILED rep: {f}", file=sys.stderr)
+        if table.failures:
+            return 1
 
     elif args.command == "dim-check":
         rep = harness.run_dimension_check(

@@ -70,7 +70,7 @@ class ExperimentConfig:
             raise ValueError("kappa and b must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellStats:
     mean_loss: float
     se: float
@@ -167,20 +167,26 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
     X = np.array([x for _, x in data])
     wanted = set(config.estimators)
     layer = SlabLayer(config.slab, X)
+    kinds = [names for names in _POSTERIOR_ESTIMATORS if wanted & set(names)]
+    prior_sets = [priors.get(mean_name) for mean_name, _ in kinds]
+    if None in prior_sets:
+        eb = [binomial_prior(config.n, a) for a in layer.eb_binomial_weights()]
+        prior_sets = [eb if prior is None else prior for prior in prior_sets]
+    # one inclusion sweep for every coupled set of priors
+    fits = layer.fit_each(prior_sets, quantiles=False)
     estimates = {}
     dim_err = mean_err = 0.0
-    for mean_name, median_name in _POSTERIOR_ESTIMATORS:
-        if not wanted & {mean_name, median_name}:
-            continue
-        prior = priors.get(mean_name)
-        if prior is None:
-            prior = [binomial_prior(config.n, a) for a in layer.eb_binomial_weights()]
-        posts = layer.fit(prior, quantiles=median_name in wanted)
+    for (mean_name, _), posts in zip(kinds, fits):
         d, m = _identity_errors(posts, layer.values.shrinkage)
         dim_err = float(np.maximum(dim_err, d))  # NaN propagates
         mean_err = float(np.maximum(mean_err, m))
         estimates[mean_name] = [post.mean for post in posts]
-        estimates[median_name] = [post.median for post in posts]
+    # the medians of every set from one quantile pass; the table reads no bounds
+    medians = [(median_name, [post.inclusion_prob for post in posts])
+               for (_, median_name), posts in zip(kinds, fits) if median_name in wanted]
+    if medians:
+        names, q = zip(*medians)
+        estimates.update(zip(names, layer.medians(q)))
     if "HT" in wanted:
         estimates["HT"] = [est.hard_threshold(x) for x in X]
     if "HTO" in wanted:

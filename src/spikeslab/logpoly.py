@@ -5,7 +5,10 @@ A polynomial is a plain array of log-coefficients, lowest degree first
 prod_i (1 + r_i Z) stay representable far beyond the linear domain's
 (1e-300, 1e300) window.  Every function takes the factors of one product
 per row of a 2-d log_r, or of a single product as a 1-d log_r, and runs
-each step of its sweep as one array operation over all the rows.  All
+each step of its sweep as one array operation over all the rows.  The
+inclusion pass also takes the weights of several priors a row: its stored
+table, the prefix products, depends on the factors alone, so the priors
+share it and only their backward vectors are carried apiece.  All
 operations combine nonnegative terms only; no subtraction ever happens,
 hence no cancellation.
 """
@@ -31,27 +34,27 @@ _NEG_INF = -np.inf
 # 104 ms, against 120 ms at 256 and 156 ms with np.logaddexp alone; a
 # single fit at n = 500 took 12.5, 12.7 and 15.8 ms.
 _LOGADDEXP_MIN_WIDTH = 128
-# Bytes the backward sweep's G table may take, n (n + 1) / 2 floats a row;
-# a larger block is swept in chunks of rows.
-_G_TABLE_BYTES = 64 << 20
+# Bytes the stored prefix table may take, n (n + 3) / 2 floats a row
+# whatever the number of priors; a larger block is swept in chunks of rows.
+_PREFIX_TABLE_BYTES = 64 << 20
 
 
-def _logaddexp(a, b):
-    """log(e^a + e^b) elementwise: m + log1p(exp(-|a - b|)) with m the
-    larger argument, clamped below by m so that -inf + -inf, whose
-    difference is NaN, stays -inf.  -|a - b| is taken as min(a, b) - m,
-    which rounds to the same value.  Rows narrower than
-    _LOGADDEXP_MIN_WIDTH go to np.logaddexp.  Callers silence the invalid
-    warning of -inf - -inf."""
+def _logaddexp(a, b, out=None):
+    """log(e^a + e^b) elementwise, written to out when given:
+    m + log1p(exp(-|a - b|)) with m the larger argument, clamped below by m
+    so that -inf + -inf, whose difference is NaN, stays -inf.  -|a - b| is
+    taken as min(a, b) - m, which rounds to the same value.  Rows narrower
+    than _LOGADDEXP_MIN_WIDTH go to np.logaddexp.  Callers silence the
+    invalid warning of -inf - -inf."""
     if np.shape(a)[-1] < _LOGADDEXP_MIN_WIDTH:
-        return np.logaddexp(a, b)
+        return np.logaddexp(a, b, out=out)
     m = np.maximum(a, b)
     d = np.minimum(a, b)
     d -= m
     np.exp(d, out=d)
     np.log1p(d, out=d)
     d += m
-    return np.fmax(d, m, out=d)
+    return np.fmax(d, m, out=d if out is None else out)
 
 
 def _validated_log_r(log_r) -> np.ndarray:
@@ -59,12 +62,6 @@ def _validated_log_r(log_r) -> np.ndarray:
     if np.any(np.isnan(log_r)) or np.any(log_r == np.inf):
         raise ValueError("log_r entries must be finite or -inf")
     return log_r
-
-
-def _schoolbook_step(c: np.ndarray, i: int, lr: np.ndarray):
-    """Multiply the polynomials c[..., :i + 1] by (1 + e^lr Z) in place;
-    c[..., i + 1] must hold -inf.  lr has one entry per row."""
-    c[..., 1 : i + 2] = _logaddexp(c[..., 1 : i + 2], c[..., : i + 1] + lr[..., None])
 
 
 def _empty_products(log_r: np.ndarray) -> np.ndarray:
@@ -82,52 +79,82 @@ def product_of_linear_factors(log_r) -> np.ndarray:
     c = _empty_products(log_r)
     with np.errstate(invalid="ignore"):
         for i in range(log_r.shape[-1]):
-            _schoolbook_step(c, i, log_r[..., i])
+            # c[..., i + 1] holds -inf until this step
+            _logaddexp(c[..., 1 : i + 2], c[..., : i + 1] + log_r[..., i, None],
+                       out=c[..., 1 : i + 2])
     return c
 
 
 def inclusion_log_numerators(log_r, log_w) -> tuple[np.ndarray, np.ndarray]:
-    """Product F = prod_i (1 + r_i Z) and the numerators of q_i = d log Z / d log r_i.
+    """Product F = prod_i (1 + r_i Z) and the numerators of q_i = d log Z / d log r_i
+    under each of P priors, from one sweep over the factors.
 
-    With Z = sum_p w[p] F[p] (log_w has n + 1 entries a row), returns F and
-    num[i] = log sum_{S not containing i} w[|S| + 1] prod_{j in S} r_j, so
-    that q_i = exp(log_r[i] + num[i] - log Z); both with the rows of log_r.
-    O(n^2) a row: a backward sweep builds G[i][a] = log sum_b s_i[b] w[a + b + 1],
-    s_i being the coefficients of prod_{j > i} (1 + r_j Z); a forward sweep
-    contracts G[i] with the prefix product prod_{j < i}, whose last value
-    is F.  Every step is a log-sum-exp of nonnegative terms.  Rows are swept
-    in chunks whose G tables fit in _G_TABLE_BYTES.
+    log_r is (R, n) and log_w is (R, P, n + 1), the log weights w of P
+    priors for each row; with Z = sum_p w[p] F[p], returns F, (R, n + 1),
+    and log_num, (R, P, n), with
+    log_num[i] = log sum_{S not containing i} w[|S| + 1] prod_{j in S} r_j,
+    so that q_i = exp(log_r[i] + log_num[i] - log Z).  A log_w of (R, n + 1)
+    is the case P = 1 and gives log_num of (R, n); a 1-d log_r is one row.
+    O(n^2) a row and prior: a forward sweep stores the prefix products
+    prod_{j < i} (1 + r_j Z), which depend on log_r alone, and ends at F; a
+    backward sweep carries G_i[a] = log sum_b s_i[b] w[a + b + 1] of every
+    prior, s_i being the coefficients of prod_{j > i} (1 + r_j Z), and
+    contracts it with the stored prefix of each i.  Every step is a
+    log-sum-exp of nonnegative terms.  Rows are swept in chunks whose prefix
+    tables fit in _PREFIX_TABLE_BYTES.
     """
     log_r = _validated_log_r(log_r)
-    log_w = np.asarray(log_w, dtype=float)
-    if log_r.ndim == 1:
-        F, num = inclusion_log_numerators(log_r[None], log_w[None])
-        return F[0], num[0]
-    n = log_r.shape[1]
-    rows = max(1, _G_TABLE_BYTES // (4 * n * (n + 1)))
-    if log_r.shape[0] > rows:
-        parts = [inclusion_log_numerators(log_r[k : k + rows], log_w[k : k + rows])
-                 for k in range(0, log_r.shape[0], rows)]
-        return (np.concatenate([F for F, _ in parts]),
-                np.concatenate([num for _, num in parts]))
+    log_w = given = np.asarray(log_w, dtype=float)
+    rows = log_r.ndim == 2  # else one row
+    single = log_w.ndim == log_r.ndim  # one prior
+    log_w = log_w[..., None, :] if single else log_w
+    log_r, log_w = (log_r, log_w) if rows else (log_r[None], log_w[None])
+    R, n = log_r.shape
+    if log_w.ndim != 3 or log_w.shape[::2] != (R, n + 1):
+        raise ValueError(f"log_w of shape {given.shape} does not hold n + 1 = {n + 1} "
+                         f"weights for each of the {R} rows")
+    chunk = max(1, _PREFIX_TABLE_BYTES // (4 * n * (n + 3)))
+    parts = [_sweep(log_r[k : k + chunk], log_w[k : k + chunk]) for k in range(0, R, chunk)]
+    F, num = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    num = num[:, 0] if single else num
+    return (F, num) if rows else (F[0], num[0])
+
+
+def _sweep(log_r: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inclusion_log_numerators of an (R, n) log_r and (R, P, n + 1) log_w."""
+    R, n = log_r.shape
+    # prefix i, prod_{j < i}, has i + 1 coefficients and a trailing -inf for
+    # the next step to read: columns off[i] .. off[i + 1] - 1
+    steps = np.arange(n + 1)
+    off = steps * (steps + 3) // 2
+    prefix = np.empty((R, off[-1]))
+    prefix[:, off[:-1]] = 0.0
+    prefix[:, off[1:] - 1] = _NEG_INF
+    off = off.tolist()
+    F = _empty_products(log_r)
+    lr = log_r.T[:, :, None]  # lr[i]: the i-th factor of every row, as a column
     with np.errstate(invalid="ignore"):
-        G = [log_w[:, 1:]]
-        for i in range(n - 1, 0, -1):
-            g = G[-1]
-            G.append(_logaddexp(g[:, :i], log_r[:, i, None] + g[:, 1:]))
-        G.reverse()  # G[i] has i + 1 entries a row, one per prefix coefficient
-        # num[i] = log sum_a e^{t[a]} with t = prefix + G[i], kept as the
-        # largest t and the sum scaled by it; the logs are taken at the end
-        top = np.empty(log_r.shape)
-        scaled = np.empty(log_r.shape)
-        pref = _empty_products(log_r)
         for i in range(n):
-            t = pref[:, : i + 1] + G[i]
-            top[:, i] = t.max(axis=1)
-            t -= top[:, i, None]
+            # prefix i times (1 + r_i Z): coefficients 1..i + 1 of prefix
+            # i + 1, or of F after the last factor
+            a, b = off[i], off[i + 1]
+            out = prefix[:, b + 1 : b + i + 2] if i + 1 < n else F[:, 1:]
+            _logaddexp(prefix[:, a + 1 : b], prefix[:, a : b - 1] + lr[i], out=out)
+        # num[i] = log sum_a e^{t[a]} with t = prefix_i + G_i, kept as the
+        # largest t and the sum scaled by it, one (R, P) slab a step; the
+        # logs are taken at the end
+        top = np.empty((n,) + log_w.shape[:2] + (1,))
+        scaled = np.empty(top.shape)
+        g = log_w[..., 1:]  # G_{n-1}: n entries a prior, one per prefix coefficient
+        prefix, lr = prefix[:, None], lr[:, :, None]  # broadcast over priors
+        for i in range(n - 1, -1, -1):
+            t = prefix[..., off[i] : off[i + 1] - 1] + g
+            top[i] = t.max(axis=-1, keepdims=True)
+            t -= top[i]
             np.exp(t, out=t)
-            scaled[:, i] = t.sum(axis=1)
-            _schoolbook_step(pref, i, log_r[:, i])
+            scaled[i] = t.sum(axis=-1, keepdims=True)
+            if i:
+                g = _logaddexp(g[..., :i], lr[i] + g[..., 1:])
         # a row of t that is all -inf has top -inf and a NaN sum
         log_num = np.where(top > _NEG_INF, top + np.log(scaled), _NEG_INF)
-    return pref, log_num
+    return F, np.moveaxis(log_num[..., 0], 0, -1)

@@ -13,6 +13,8 @@ common factor (it cancels in every posterior quantity).
 A block of R observation vectors of one length is fitted as one: its slab
 functions are evaluated once (SlabLayer) and each sweep of the polynomial
 layer runs over all R rows at a time (fit_many); fit is the block of one.
+Several sets of priors on one block share its inclusion sweep
+(SlabLayer.fit_each).
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ def _marginal_quantiles(values: SlabValues, q, levels) -> np.ndarray:
     the atom of size 1 - q at zero is handled analytically, the slab part is
     inverted exactly (see Posterior.marginal_quantile)."""
     out = np.zeros(levels.shape)
-    atom_lo = q * np.where(q > 0.0, values.cdf_at_zero.ravel(), 0.5)
+    k = np.arange(q.size) % values.x.size
+    atom_lo = q * np.where(q > 0.0, np.take(values.cdf_at_zero, k), 0.5)
     atom_hi = atom_lo + (1.0 - q)
     below = np.flatnonzero(levels <= atom_lo)
     above = np.flatnonzero(levels > atom_hi)
-    out[below] = values.quantile(below, levels[below] / q[below])
-    out[above] = values.quantile(above, (levels[above] - (1.0 - q[above])) / q[above])
+    out[below] = values.quantile(k[below], levels[below] / q[below])
+    out[above] = values.quantile(k[above], (levels[above] - (1.0 - q[above])) / q[above])
     return out
 
 
@@ -59,7 +62,7 @@ def _medians(values: SlabValues, q) -> np.ndarray:
     """Marginal posterior medians; exactly zero where q <= 1/2."""
     with np.errstate(divide="ignore"):
         inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-    k = np.arange(q.size)
+    k = np.arange(q.size) % values.x.size
     upper = values.quantile(k, 1.0 - inv2q)
     lower = values.quantile(k, inv2q)
     return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
@@ -69,8 +72,8 @@ def _medians(values: SlabValues, q) -> np.ndarray:
 class Posterior:
     """Fitted posterior of one vector of observations: summary fields, the
     expected dimension, and marginal cdf / quantile access.  Built by fit,
-    fit_many or SlabLayer.fit; median and the credible bounds are None when
-    fitted without quantiles."""
+    fit_many or SlabLayer.fit_each; median and the credible bounds are None
+    when fitted without quantiles."""
 
     x: np.ndarray
     dim_prior: DimensionPrior
@@ -135,9 +138,8 @@ class SlabLayer:
     and its empirical-Bayes weights read these; the fitted posteriors keep
     none of them, so stored fits stay small.
     The product of the factors, prod_i (1 + r_i Z) of each row, depends on
-    the layer alone: the first fit computes it, and a later fit whose rows
-    are under binomial priors, which need nothing else of the polynomial
-    layer, reads it.
+    the layer alone: the first fit computes it, and rows under binomial
+    priors, which need nothing else of the polynomial layer, read it.
     """
 
     def __init__(self, slab: SlabPrior, X):
@@ -158,66 +160,95 @@ class SlabLayer:
 
     def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> list[Posterior]:
         """The exact posterior of every row: priors is one DimensionPrior for
+        all rows or a sequence of one per row; the one-set case of fit_each."""
+        return self.fit_each([priors], levels=levels, quantiles=quantiles)[0]
+
+    def fit_each(self, prior_sets, levels=DEFAULT_LEVELS,
+                 quantiles: bool = True) -> list[list[Posterior]]:
+        """The exact posterior of every row under each of a list of prior
+        sets, one list of posteriors per set; a set is one DimensionPrior for
         all rows or a sequence of one per row.  The rows under a binomial
-        prior take the product of the factors alone; all the others share
-        one batched forward-backward pass for q_i = d log Z / d log r_i.
-        levels are the two levels lo < hi in (0, 1) of the credible bounds."""
+        prior take the product of the factors alone; all the others, of
+        every set, share one batched forward-backward pass for
+        q_i = d log Z / d log r_i.  levels are the two levels lo < hi in
+        (0, 1) of the credible bounds."""
         levels = tuple(levels)
         if not (len(levels) == 2 and 0.0 < levels[0] < levels[1] < 1.0):
             raise ValueError(f"credible levels must be two levels 0 < lo < hi < 1, got {levels}")
-        R, n = self.x.shape
-        if isinstance(priors, DimensionPrior):
-            lam = np.tile(priors.log_model_weights(), (R, 1))
-            priors = [priors] * R
-        else:
-            priors = list(priors)
-            if len(priors) != R:
-                raise ValueError(f"need one dimension prior per row: {len(priors)} for {R} rows")
-            lam = np.array([p.log_model_weights() for p in priors])
-        for p in priors:
-            if p.n != n:
-                raise ValueError(f"dimension prior is over 0..{p.n} but n = {n}")
-
+        if not prior_sets:
+            return []
+        sets, lam = zip(*(self._row_priors(priors) for priors in prior_sets))
+        lam = np.array(lam)  # (sets, R, n + 1)
+        coupled = np.array([[p.family is not DimensionFamily.BINOMIAL for p in priors]
+                            for priors in sets])
+        # one sweep over the rows and sets that hold a coupled prior
+        rows, swept = coupled.any(axis=0), coupled.any(axis=1)
         log_r = self.log_r
-        binomial = np.array([p.family is DimensionFamily.BINOMIAL for p in priors])
-        coupled = ~binomial
-        F = np.empty((R, n + 1))
-        if binomial.any():
-            F[binomial] = (product_of_linear_factors(log_r[binomial])
-                           if self._products is None else self._products[binomial])
-        if coupled.any():
-            F[coupled], log_num = inclusion_log_numerators(log_r[coupled], lam[coupled])
-        self._products = F
-        log_partition = logsumexp(lam + F, axis=1)
-        dim_log_pmf = lam + F - log_partition[:, None]
-        log_q = np.empty((R, n))
-        if binomial.any():
-            # binomial dimension prior makes the coordinates independent:
-            # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
-            alpha = np.array([p.params[0] for p, b in zip(priors, binomial) if b])[:, None]
-            la, l1a, lr = np.log(alpha), np.log1p(-alpha), log_r[binomial]
-            log_q[binomial] = la + lr - np.logaddexp(l1a, la + lr)
-        if coupled.any():
-            log_q[coupled] = np.minimum(
-                log_r[coupled] + log_num - log_partition[coupled, None], 0.0)
+        if rows.any():
+            F_rows, log_num = inclusion_log_numerators(
+                log_r[rows], lam[swept][:, rows].transpose(1, 0, 2))
+        if self._products is None:
+            self._products = np.empty(lam.shape[1:])
+            if rows.any():
+                self._products[rows] = F_rows
+            if not rows.all():
+                self._products[~rows] = product_of_linear_factors(log_r[~rows])
+        F = self._products
+
+        log_partition = logsumexp(lam + F, axis=2)
+        dim_log_pmf = lam + F - log_partition[:, :, None]
+        log_q = np.empty(lam.shape[:2] + log_r.shape[1:])
+        for k, (priors, c) in enumerate(zip(sets, coupled)):
+            if not c.all():
+                # binomial dimension prior makes the coordinates independent:
+                # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
+                alpha = np.array([p.params[0] for p, is_c in zip(priors, c) if not is_c])[:, None]
+                la, l1a, lr = np.log(alpha), np.log1p(-alpha), log_r[~c]
+                log_q[k, ~c] = la + lr - np.logaddexp(l1a, la + lr)
+            if c.any():
+                num = log_num[:, np.count_nonzero(swept[:k])][c[rows]]
+                log_q[k, c] = np.minimum(log_r[c] + num - log_partition[k, c, None], 0.0)
         q = np.exp(log_q)
         mean = q * self.values.shrinkage
 
         median = lo = hi = None
         if quantiles:
-            qf = q.ravel()
-            median = _medians(self.values, qf).reshape(R, n)
-            lo, hi = (_marginal_quantiles(self.values, qf, np.full(qf.size, level)).reshape(R, n)
+            median = self.medians(q)
+            lo, hi = (_marginal_quantiles(self.values, q.ravel(),
+                                          np.full(q.size, level)).reshape(q.shape)
                       for level in levels)
 
-        def row(a, r):
+        def row(a, k, r):
             # a copy: a Posterior kept alone does not keep its block alive
-            return None if a is None else a[r].copy()
+            return None if a is None else a[k, r].copy()
 
-        return [Posterior(row(self.x, r), priors[r], self.slab, levels,
-                          float(log_partition[r]), row(dim_log_pmf, r), row(q, r),
-                          row(mean, r), row(median, r), row(lo, r), row(hi, r))
-                for r in range(R)]
+        return [[Posterior(self.x[r].copy(), priors[r], self.slab, levels,
+                           float(log_partition[k, r]), row(dim_log_pmf, k, r), row(q, k, r),
+                           row(mean, k, r), row(median, k, r), row(lo, k, r), row(hi, k, r))
+                 for r in range(len(priors))]
+                for k, priors in enumerate(sets)]
+
+    def medians(self, q) -> np.ndarray:
+        """Marginal posterior medians of the block's coordinates at inclusion
+        probabilities q, of shape (..., R, n): one quantile pass for any
+        number of fits of the block."""
+        q = np.asarray(q, dtype=float)
+        return _medians(self.values, q.ravel()).reshape(q.shape)
+
+    def _row_priors(self, priors) -> tuple[list[DimensionPrior], np.ndarray]:
+        """One DimensionPrior per row, checked against the block, and their
+        log model weights, one row each."""
+        R, n = self.x.shape
+        shared = isinstance(priors, DimensionPrior)
+        priors = [priors] * R if shared else list(priors)
+        if len(priors) != R:
+            raise ValueError(f"need one dimension prior per row: {len(priors)} for {R} rows")
+        for p in priors:
+            if p.n != n:
+                raise ValueError(f"dimension prior is over 0..{p.n} but n = {n}")
+        if shared:
+            return priors, np.tile(priors[0].log_model_weights(), (R, 1))
+        return priors, np.array([p.log_model_weights() for p in priors])
 
 
 def fit_many(X, priors, slab: SlabPrior, levels=DEFAULT_LEVELS,

@@ -57,6 +57,14 @@ def test_simulate_stdout(capsys):
     assert "HT" in out and "loss=" in out
 
 
+def test_simulate_exits_1_when_a_replication_fails(capsys):
+    # a slab scale of 1e-15 defeats the Student panel quadrature
+    assert main(["simulate", "--n", "5", "--pn", "1", "--amp", "3", "--reps", "1",
+                 "--slab", "student", "--scale", "1e-15", "--estimators", "PM1"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED rep:" in err and "QuadratureError" in err
+
+
 def test_dim_check(capsys):
     assert main(["dim-check", "--n", "30", "--pn", "2", "--amp", "5",
                  "--M", "0", "2", "5", "--reps", "2"]) == 0

@@ -200,7 +200,7 @@ def test_run_table_oracle_threshold_helps_at_small_signals():
 
 def test_run_table_surfaces_failures(monkeypatch):
     calls = {"count": 0}
-    real_fit = harness.SlabLayer.fit
+    real_fit = harness.SlabLayer.fit_each
 
     def flaky_fit(self, *args, **kwargs):
         calls["count"] += 1
@@ -208,7 +208,7 @@ def test_run_table_surfaces_failures(monkeypatch):
             raise RuntimeError("injected failure")
         return real_fit(self, *args, **kwargs)
 
-    monkeypatch.setattr(harness.SlabLayer, "fit", flaky_fit)
+    monkeypatch.setattr(harness.SlabLayer, "fit_each", flaky_fit)
     config = ExperimentConfig(
         n=20, pn_grid=(2,), amplitudes=(4.0,), replications=2,
         estimators=("PM2",),
@@ -221,11 +221,11 @@ def test_run_table_surfaces_failures(monkeypatch):
     assert not cell.complete
 
 
-def test_run_table_sweeps_each_replication_block_once_per_prior(monkeypatch):
+def test_run_table_sweeps_each_replication_block_once(monkeypatch):
     # a replication covers every cell of the grid: one inclusion sweep over
-    # the whole block for the complexity prior and one for the beta-binomial
-    # prior; the binomial EB fits need only the product of the factors,
-    # which the block's first sweep already computed
+    # the whole block serves the complexity and the beta-binomial prior; the
+    # binomial EB fits need only the product of the factors, which that
+    # sweep already computed
     from spikeslab import posterior
 
     calls = []
@@ -233,7 +233,7 @@ def test_run_table_sweeps_each_replication_block_once_per_prior(monkeypatch):
     product = posterior.product_of_linear_factors
 
     def spy_sweep(log_r, log_w):
-        calls.append(("sweep", np.shape(log_r)))
+        calls.append(("sweep", np.shape(log_r), np.shape(log_w)))
         return sweep(log_r, log_w)
 
     def spy_product(log_r):
@@ -245,7 +245,7 @@ def test_run_table_sweeps_each_replication_block_once_per_prior(monkeypatch):
     config = ExperimentConfig(n=30, pn_grid=(2, 4), amplitudes=(3.0, 5.0),
                               replications=3, seed=1)
     table = run_table(config)
-    assert calls == [("sweep", (4, 30))] * 6
+    assert calls == [("sweep", (4, 30), (4, 2, 31))] * 3
     assert table.failures == []
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,8 +188,57 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     log_r = rng.normal(scale=6.0, size=(5, n))
     log_w = rng.normal(size=(5, n + 1))
     whole = inclusion_log_numerators(log_r, log_w)
-    # room for the G table of two rows: chunks of 2, 2 and 1
-    monkeypatch.setattr(logpoly, "_G_TABLE_BYTES", 2 * 4 * n * (n + 1))
+    # room for the prefix table of two rows: chunks of 2, 2 and 1
+    monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 3))
     chunked = inclusion_log_numerators(log_r, log_w)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+
+
+# -- one sweep for several priors ---------------------------------------------------
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+@pytest.mark.parametrize("P", [2, 3])
+@pytest.mark.parametrize("n", [5, 300])
+def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
+    # the prefix products are shared by the priors; each prior's numerators
+    # are bit for bit those of its own sweep
+    rng = np.random.default_rng(67)
+    log_r = rng.normal(scale=6.0, size=(4, n))
+    log_r[1, 2] = -np.inf
+    log_w = rng.normal(size=(4, P, n + 1))
+    log_w[2, 1, 3:] = -np.inf
+    log_w[3, P - 1, :] = -np.inf
+    log_w[3, P - 1, 2] = 0.0  # all mass on dimension 2
+    alone = [inclusion_log_numerators(log_r, log_w[:, p]) for p in range(P)]
+    if chunked:  # one row a chunk
+        monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 3))
+    F, num = inclusion_log_numerators(log_r, log_w)
+    assert num.shape == (4, P, n)
+    for p, (F_p, num_p) in enumerate(alone):
+        assert np.array_equal(F, F_p)
+        assert np.array_equal(num[:, p], num_p)
+    # a 1-d log_r is one row, with one row of weights a prior
+    F_0, num_0 = inclusion_log_numerators(log_r[1], log_w[1])
+    assert np.array_equal(F_0, F[1]) and np.array_equal(num_0, num[1])
+
+
+def test_shared_sweep_peak_does_not_grow_with_priors():
+    # the stored table is the prefix products, one per row whatever the
+    # number of priors; only the priors' backward vectors are in flight
+    rng = np.random.default_rng(71)
+    n = 400
+    log_r = rng.normal(scale=3.0, size=(3, n))
+    log_w = rng.normal(size=(3, 2, n + 1))
+    one = np.ascontiguousarray(log_w[:, 0])
+
+    def peak(w):
+        tracemalloc.start()
+        try:
+            inclusion_log_numerators(log_r, w)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(log_w) <= 1.1 * peak(one)

@@ -595,3 +595,56 @@ def test_slab_layer_eb_weights_match_eb_binomial_weight():
     X = np.random.default_rng(61).normal(scale=3.0, size=(3, 40))
     weights = SlabLayer(laplace_slab(), X).eb_binomial_weights()
     assert weights.tolist() == [eb_binomial_weight(x, laplace_slab()) for x in X]
+
+
+def _assert_identical_posterior(a, b):
+    assert a.log_partition == b.log_partition
+    assert a.dim_prior is b.dim_prior
+    for field in ("x",) + _FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("slab", [laplace_slab(), student_slab(3.0)], ids=["laplace", "student"])
+@pytest.mark.parametrize("n", [7, 150])
+def test_fit_each_equals_one_fit_per_set(slab, n):
+    # coupled and binomial sets, and a set mixing both, share one sweep; each
+    # set's posteriors are bit for bit those of its own fit on a fresh layer
+    rng = np.random.default_rng(73)
+    X = rng.normal(scale=2.0, size=(4, n))
+    X[0, :2] = [40.0, -25.0]
+    sets = [complexity_prior(n, 0.3),
+            [binomial_prior(n, a) for a in (0.2, 0.5, 0.01, 0.9)],
+            [complexity_prior(n, 0.3), binomial_prior(n, 0.2), _point_mass(n, 0),
+             poisson_prior(n, 1.0)],
+            betabin_power_prior(n, 0.1)]
+    layer = SlabLayer(slab, X)
+    assert layer.fit_each([]) == []
+    each = layer.fit_each(sets)
+    assert len(each) == len(sets)
+    for posts, priors in zip(each, sets):
+        for a, b in zip(posts, SlabLayer(slab, X).fit(priors)):
+            _assert_identical_posterior(a, b)
+    # the medians of every set from one quantile pass
+    q = [[post.inclusion_prob for post in posts] for posts in each]
+    assert np.array_equal(layer.medians(q), [[post.median for post in posts] for posts in each])
+
+
+def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
+    # sets under binomial priors run no inclusion sweep, and a later call
+    # reads the product that the layer's first call computed
+    from spikeslab import posterior
+
+    calls = []
+    product = posterior.product_of_linear_factors
+
+    def spy_product(log_r):
+        calls.append(np.shape(log_r))
+        return product(log_r)
+
+    monkeypatch.setattr(posterior, "product_of_linear_factors", spy_product)
+    monkeypatch.setattr(posterior, "inclusion_log_numerators", None)
+    X = np.random.default_rng(79).normal(scale=2.0, size=(3, 12))
+    layer = SlabLayer(laplace_slab(), X)
+    layer.fit_each([binomial_prior(12, 0.1), binomial_prior(12, 0.4)], quantiles=False)
+    layer.fit(binomial_prior(12, 0.3), quantiles=False)
+    assert calls == [(3, 12)]
