@@ -14,12 +14,14 @@ A block of R observation vectors of one length is fitted as one: its slab
 functions are evaluated once (SlabLayer) and each sweep of the polynomial
 layer runs over all R rows at a time (fit_many); fit is the block of one.
 Several sets of priors on one block share its inclusion sweep
-(SlabLayer.fit_each).
+(SlabLayer.fit_each), and every median and credible bound of a fit comes
+from one slab quantile pass (_marginal_quantiles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -43,49 +45,91 @@ def validate_observations(x) -> np.ndarray:
 # -- marginal quantiles over the flattened coordinates of a SlabValues
 
 
-def _marginal_quantiles(values: SlabValues, q, levels) -> np.ndarray:
-    """Generalized inverse of each coordinate's marginal cdf at its level:
-    the atom of size 1 - q at zero is handled analytically, the slab part is
-    inverted exactly (see Posterior.marginal_quantile)."""
-    out = np.zeros(levels.shape)
+def _marginal_quantiles(values: SlabValues, q, levels=(), median: bool = False) -> np.ndarray:
+    """Marginal posterior quantiles of coordinates at inclusion probabilities
+    q, which cycle over the flattened values.x: one row per level and, when
+    median, a last row of medians.
+
+    Each marginal is an atom of size 1 - q at zero plus q times the slab
+    posterior, so a quantile is zero or a slab quantile at an adjusted
+    level.  A level below the atom takes level / q, one above it
+    (level - (1 - q)) / q.  A median is zero where q <= 1/2; else a negative
+    median solves q H(m) = 1/2 and takes 1/(2q) when H(0) >= 1/(2q), a
+    positive one takes 1 - 1/(2q) when H(0) < 1 - 1/(2q), and otherwise the
+    median is zero.  Every (coordinate, level) off the atom goes into one
+    SlabValues.quantile call.
+    """
     k = np.arange(q.size) % values.x.size
-    atom_lo = q * np.where(q > 0.0, np.take(values.cdf_at_zero, k), 0.5)
+    cdf_at_zero = np.take(values.cdf_at_zero, k)
+    out = np.zeros((len(levels) + median, q.size))
+    where, tau = [], []  # flat positions in out and their slab levels
+    atom_lo = q * np.where(q > 0.0, cdf_at_zero, 0.5)
     atom_hi = atom_lo + (1.0 - q)
-    below = np.flatnonzero(levels <= atom_lo)
-    above = np.flatnonzero(levels > atom_hi)
-    out[below] = values.quantile(k[below], levels[below] / q[below])
-    out[above] = values.quantile(k[above], (levels[above] - (1.0 - q[above])) / q[above])
+    for row, level in enumerate(levels):
+        below = np.flatnonzero(level <= atom_lo)
+        above = np.flatnonzero(level > atom_hi)
+        where += [row * q.size + below, row * q.size + above]
+        tau += [level / q[below], (level - (1.0 - q[above])) / q[above]]
+    if median:
+        half = np.flatnonzero(q > 0.5)
+        inv2q = 1.0 / (2.0 * q[half])
+        lower = cdf_at_zero[half] >= inv2q
+        upper = cdf_at_zero[half] < 1.0 - inv2q
+        where += [len(levels) * q.size + half[lower], len(levels) * q.size + half[upper]]
+        tau += [inv2q[lower], 1.0 - inv2q[upper]]
+    where = np.concatenate(where)
+    out.flat[where] = values.quantile(k[where % q.size], np.concatenate(tau))
     return out
 
 
-def _medians(values: SlabValues, q) -> np.ndarray:
-    """Marginal posterior medians; exactly zero where q <= 1/2."""
-    with np.errstate(divide="ignore"):
-        inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-    k = np.arange(q.size) % values.x.size
-    upper = values.quantile(k, 1.0 - inv2q)
-    lower = values.quantile(k, inv2q)
-    return np.maximum(upper, 0.0) + np.minimum(lower, 0.0)
+@lru_cache(maxsize=64)
+def _coordinate_values(slab: SlabPrior, x: float) -> SlabValues:
+    """The slab values of one observation, shared by the repeated cdf and
+    quantile calls on a coordinate; a Posterior keeps none itself."""
+    return SlabValues(slab, np.array([x]))
 
 
-@dataclass(eq=False, repr=False)
+def _coord_row(k: int, doc: str) -> property:
+    """Row k of Posterior.coords as a field, None past the rows of the fit.
+    Setting it gives that posterior its own copy of coords with the row
+    replaced, so a copied Posterior can change a field alone."""
+
+    def get(self):
+        return self.coords[k] if k < len(self.coords) else None
+
+    def set(self, value):
+        coords = self.coords.copy()
+        coords[k] = value
+        self.coords = coords
+
+    return property(get, set, doc=doc)
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class Posterior:
     """Fitted posterior of one vector of observations: summary fields, the
     expected dimension, and marginal cdf / quantile access.  Built by fit,
-    fit_many or SlabLayer.fit_each; median and the credible bounds are None
-    when fitted without quantiles."""
+    fit_many or SlabLayer.fit_each.
 
-    x: np.ndarray
+    The per-coordinate fields are the rows of one (fields, n) array, coords:
+    x, inclusion_prob and mean, then median, credible_lo and credible_hi,
+    which are None when fitted without quantiles.  A kept fit is then two
+    arrays and one slotted object, however many fields it has.
+    """
+
     dim_prior: DimensionPrior
     slab: SlabPrior
     levels: tuple
     log_partition: float
     dim_log_pmf: np.ndarray
-    inclusion_prob: np.ndarray
-    mean: np.ndarray
-    median: np.ndarray | None
-    credible_lo: np.ndarray | None
-    credible_hi: np.ndarray | None
+    coords: np.ndarray
+
+    x = _coord_row(0, "The observations.")
+    inclusion_prob = _coord_row(1, "Posterior inclusion probabilities q_i.")
+    mean = _coord_row(2, "Marginal posterior means.")
+    median = _coord_row(3, "Marginal posterior medians.")
+    credible_lo = _coord_row(4, "Lower credible bounds, at levels[0].")
+    credible_hi = _coord_row(5, "Upper credible bounds, at levels[1].")
 
     @property
     def expected_dimension(self) -> float:
@@ -95,16 +139,16 @@ class Posterior:
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
-        the slab part q_i * psi(x_i, u) / psi(x_i).  Each call evaluates the
-        coordinate's slab functions anew (for the Student and
-        exponential-power slabs, its table)."""
+        the slab part q_i * psi(x_i, u) / psi(x_i).  The coordinate's slab
+        values (for the Student and exponential-power slabs, its table) are
+        built once and cached for the calls that follow."""
         self._check_index(i)
         if np.isinf(u):
             return 0.0 if u < 0 else 1.0
         q = self.inclusion_prob[i]
         val = (1.0 - q) * (u >= 0.0)
         if q > 0.0:
-            val += q * SlabValues(self.slab, self.x[[i]]).cdf(0, u)
+            val += q * self._values(i).cdf(0, u)
         return float(min(max(val, 0.0), 1.0))
 
     def marginal_quantile(self, i: int, level: float) -> float:
@@ -114,15 +158,18 @@ class Posterior:
         self._check_index(i)
         if not 0.0 < level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
-        values = SlabValues(self.slab, self.x[[i]])
-        return float(_marginal_quantiles(values, self.inclusion_prob[[i]], np.array([level]))[0])
+        return float(_marginal_quantiles(self._values(i), self.inclusion_prob[[i]],
+                                         (level,))[0, 0])
 
     def coordinatewise_median(self, i: int) -> float:
         """Median of the marginal posterior of coordinate i; exactly zero
         whenever the inclusion probability is at most 1/2."""
         self._check_index(i)
-        values = SlabValues(self.slab, self.x[[i]])
-        return float(_medians(values, self.inclusion_prob[[i]])[0])
+        return float(_marginal_quantiles(self._values(i), self.inclusion_prob[[i]],
+                                         median=True)[0, 0])
+
+    def _values(self, i: int) -> SlabValues:
+        return _coordinate_values(self.slab, float(self.x[i]))
 
     def _check_index(self, i: int):
         if not 0 <= i < self.x.size:
@@ -211,20 +258,15 @@ class SlabLayer:
         q = np.exp(log_q)
         mean = q * self.values.shrinkage
 
-        median = lo = hi = None
+        fields = [np.broadcast_to(self.x, q.shape), q, mean]
         if quantiles:
-            median = self.medians(q)
-            lo, hi = (_marginal_quantiles(self.values, q.ravel(),
-                                          np.full(q.size, level)).reshape(q.shape)
-                      for level in levels)
-
-        def row(a, k, r):
-            # a copy: a Posterior kept alone does not keep its block alive
-            return None if a is None else a[k, r].copy()
-
-        return [[Posterior(self.x[r].copy(), priors[r], self.slab, levels,
-                           float(log_partition[k, r]), row(dim_log_pmf, k, r), row(q, k, r),
-                           row(mean, k, r), row(median, k, r), row(lo, k, r), row(hi, k, r))
+            lo, hi, median = _marginal_quantiles(self.values, q.ravel(), levels,
+                                                 median=True).reshape((3,) + q.shape)
+            fields += [median, lo, hi]
+        coords = np.stack(fields, axis=2)  # (sets, R, fields, n)
+        # copies: a Posterior kept alone does not keep its block alive
+        return [[Posterior(priors[r], self.slab, levels, float(log_partition[k, r]),
+                           dim_log_pmf[k, r].copy(), coords[k, r].copy())
                  for r in range(len(priors))]
                 for k, priors in enumerate(sets)]
 
@@ -233,7 +275,7 @@ class SlabLayer:
         probabilities q, of shape (..., R, n): one quantile pass for any
         number of fits of the block."""
         q = np.asarray(q, dtype=float)
-        return _medians(self.values, q.ravel()).reshape(q.shape)
+        return _marginal_quantiles(self.values, q.ravel(), median=True).reshape(q.shape)
 
     def _row_priors(self, priors) -> tuple[list[DimensionPrior], np.ndarray]:
         """One DimensionPrior per row, checked against the block, and their

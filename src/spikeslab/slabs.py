@@ -17,8 +17,10 @@ slabs use closed forms on the log scale (log-Phi via erfc keeps the
 e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones all
 come from one pair of log-Phi arrays.  Student and exponential-power slabs,
 and the Laplace second moment, come from one panel Gauss-Legendre table per
-distinct observation (SlabCdfTable).  log_psi, posterior_shrinkage, zeta and
-second_moment_ratio read a SlabValues.
+distinct observation (SlabCdfTable); one peak search, zooming a grid for
+every distinct observation at once (_windows), places all their windows.
+log_psi, posterior_shrinkage, zeta and second_moment_ratio read a
+SlabValues.
 
 The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
 inverted exactly, with no bisection (SlabValues.quantile), from the same
@@ -153,28 +155,36 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUAD_TOL = 1e-10  # relative accuracy asked of a table (see _panel_quadrature)
 
 
-def _window(prior: SlabPrior, x: float) -> tuple[float, float, tuple]:
-    """(lo, hi, points): integration window for t -> phi(x - t) g(t) and
-    the knots the panel mesh must contain.
+def _windows(prior: SlabPrior, x: np.ndarray) -> list[tuple[float, float, tuple]]:
+    """(lo, hi, points) of each entry of the 1-d array x: the integration
+    window for t -> phi(x - t) g(t) and the knots the panel mesh must contain.
 
     g is symmetric and nonincreasing in |t|, so the maximum lies between 0
     and x: near x for a heavy slab, pulled toward 0 for a light one, where
-    a window around x alone misses the mass.  It is found by zooming a grid
-    that contains both ends.  The window reaches _QUAD_HALFWIDTH beyond the
+    a window around x alone misses the mass.  It is found by zooming a
+    65-point grid that contains both ends, one row per entry, all entries at
+    once; an entry stops zooming when its grid spacing is within
+    _PEAK_STEP * max(1, |x|).  The window reaches _QUAD_HALFWIDTH beyond the
     peak and beyond x.  The knots are the kinks at 0 and x, the peak, and
     the peak +/- _QUAD_HALFWIDTH.
     """
-    a, b = min(x, 0.0), max(x, 0.0)
-    while True:
-        grid = np.linspace(a, b, 65)
-        k = int(np.argmax(log_phi(x - grid) + log_g(prior, grid)))
-        if b - a <= 64 * _PEAK_STEP * max(1.0, abs(x)):
-            break
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
-    peak = float(grid[k])
-    lo, hi = min(x, peak) - _QUAD_HALFWIDTH, max(x, peak) + _QUAD_HALFWIDTH
-    points = (peak, peak - _QUAD_HALFWIDTH, peak + _QUAD_HALFWIDTH, 0.0, x)
-    return lo, hi, points
+    x = np.asarray(x, dtype=float)
+    a, b = np.minimum(x, 0.0), np.maximum(x, 0.0)
+    tol = 64 * _PEAK_STEP * np.maximum(1.0, np.abs(x))
+    peak = np.empty(x.shape)
+    m = np.arange(x.size)  # the entries still zooming
+    while m.size:
+        grid = np.linspace(a[m], b[m], 65, axis=1)
+        k = np.argmax(log_phi(x[m, None] - grid) + log_g(prior, grid), axis=1)
+        rows = np.arange(m.size)
+        peak[m] = grid[rows, k]
+        done = b[m] - a[m] <= tol[m]
+        a[m], b[m] = grid[rows, np.maximum(k - 1, 0)], grid[rows, np.minimum(k + 1, 64)]
+        m = m[~done]
+    lo = np.minimum(x, peak) - _QUAD_HALFWIDTH
+    hi = np.maximum(x, peak) + _QUAD_HALFWIDTH
+    return [(l, h, (p, p - _QUAD_HALFWIDTH, p + _QUAD_HALFWIDTH, 0.0, v))
+            for l, h, p, v in zip(lo.tolist(), hi.tolist(), peak.tolist(), x.tolist())]
 
 
 def _mesh(lo: float, hi: float, points) -> np.ndarray:
@@ -231,7 +241,9 @@ def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
 class SlabCdfTable:
     """Panel quadrature of t -> phi(x - t) g(t) for one observation x.
 
-    The mesh spans the window of _window with panels no wider than
+    window is x's (lo, hi, points) from _windows, which slab_tables finds
+    for all its observations at once; without it the table finds its own.
+    The mesh spans the window with panels no wider than
     _QUAD_HALFWIDTH / 32, plus the window's knots and knots graded
     geometrically toward the kink of g at t = 0; each panel gets the
     16-point Gauss-Legendre rule, and QuadratureError is raised when the
@@ -244,10 +256,12 @@ class SlabCdfTable:
     stay finite when psi underflows the linear domain.
     """
 
-    def __init__(self, prior: SlabPrior, x: float):
+    def __init__(self, prior: SlabPrior, x: float, window: tuple | None = None):
         self.prior = prior
         self.x = float(x)
-        self.mesh = _mesh(*_window(prior, self.x))
+        if window is None:
+            window = _windows(prior, np.array([self.x]))[0]
+        self.mesh = _mesh(*window)
         t, vals, self._shift, self.error = _panel_quadrature(prior, self.x, self.mesh)
         self.cum = np.concatenate([[0.0], np.cumsum(vals.sum(axis=1))])
         self.total = float(self.cum[-1])
@@ -327,9 +341,10 @@ def table_quantiles(tables, tau) -> np.ndarray:
 
 
 def slab_tables(prior: SlabPrior, x: np.ndarray) -> list[SlabCdfTable]:
-    """A SlabCdfTable for each entry of the 1-d array x, one per distinct value."""
+    """A SlabCdfTable for each entry of the 1-d array x, one per distinct
+    value; one peak search finds the windows of all of them."""
     values, inverse = np.unique(x, return_inverse=True)
-    tables = [SlabCdfTable(prior, v) for v in values]
+    tables = [SlabCdfTable(prior, v, w) for v, w in zip(values, _windows(prior, values))]
     return [tables[k] for k in inverse.ravel()]
 
 

@@ -462,9 +462,9 @@ def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
     built = []
     init = slabs.SlabCdfTable.__init__
 
-    def counting_init(self, prior, x):
+    def counting_init(self, prior, x, window=None):
         built.append(x)
-        init(self, prior, x)
+        init(self, prior, x, window)
 
     monkeypatch.setattr(slabs.SlabCdfTable, "__init__", counting_init)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2])
@@ -648,3 +648,134 @@ def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
     layer.fit_each([binomial_prior(12, 0.1), binomial_prior(12, 0.4)], quantiles=False)
     layer.fit(binomial_prior(12, 0.3), quantiles=False)
     assert calls == [(3, 12)]
+
+
+# -- one quantile pass per fit ---------------------------------------------------------
+
+_EVERY_SLAB = [laplace_slab(), laplace_slab(50.0), gaussian_slab(), student_slab(3.0),
+               exp_power_slab(0.5), exp_power_slab(1.5)]
+
+
+def _two_sided_quantiles(values, q, levels):
+    """Medians and credible bounds of the coordinates at inclusion
+    probabilities q (cycling over values.x) by the two-sided formulas: both
+    median levels inverted for every coordinate, and each bound inverted
+    below or above the atom at zero."""
+    k = np.arange(q.size) % values.x.size
+    cdf_at_zero = np.take(values.cdf_at_zero, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
+        median = (np.maximum(values.quantile(k, 1.0 - inv2q), 0.0)
+                  + np.minimum(values.quantile(k, inv2q), 0.0))
+        bounds = []
+        for level in levels:
+            atom_lo = q * np.where(q > 0.0, cdf_at_zero, 0.5)
+            below, above = level <= atom_lo, level > atom_lo + (1.0 - q)
+            tau = np.where(below, level / q, np.where(above, (level - (1.0 - q)) / q, 0.5))
+            bounds.append(np.where(below | above, values.quantile(k, tau), 0.0))
+    return median, bounds
+
+
+_SIGNED_X = np.array([-6.0, -3.1, -2.2, -0.7, 0.0, 0.4, 1.1, 2.4, 3.3, 7.5])
+
+
+@pytest.mark.parametrize("slab", _EVERY_SLAB, ids=str)
+def test_one_pass_quantiles_equal_the_two_sided_formulas(slab):
+    n = _SIGNED_X.size
+    layer = SlabLayer(slab, _SIGNED_X[None])
+    r = np.exp(layer.log_r[0])
+    # binomial weights that put one coordinate's q at or just above 1/2,
+    # a point mass at n (q = 1) and the complexity prior (q <= 1/2 on nulls)
+    sets = [complexity_prior(n, 0.1), _point_mass(n, n), binomial_prior(n, 0.3)]
+    sets += [binomial_prior(n, 1.0 / (1.0 + r[j]) * (1.0 + 1e-9)) for j in (1, 3, 7)]
+    levels = (0.05, 0.9)
+    posts = [p[0] for p in layer.fit_each(sets, levels=levels)]
+    for post in posts:
+        median, (lo, hi) = _two_sided_quantiles(layer.values, post.inclusion_prob, levels)
+        assert np.array_equal(post.median, median)
+        assert np.array_equal(post.credible_lo, lo)
+        assert np.array_equal(post.credible_hi, hi)
+        for i in range(n):
+            assert post.coordinatewise_median(i) == median[i]
+            assert post.marginal_quantile(i, 0.9) == hi[i]
+    q = np.concatenate([post.inclusion_prob for post in posts])
+    assert np.any(q == 1.0) and np.any(q <= 0.5)
+    assert np.any((q > 0.5) & (q < 0.5 + 1e-6))
+    medians = np.concatenate([post.median for post in posts])
+    assert np.any(medians < 0.0) and np.any(medians > 0.0)
+    # any q, including 0, exactly 1/2, the next float above it and 1
+    q = np.array([0.0, 0.2, 0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-12, 0.6, 0.8, 0.95,
+                  1.0 - 1e-15, 1.0])
+    q = np.stack([q, q[::-1]])
+    median, _ = _two_sided_quantiles(layer.values, q.ravel(), ())
+    assert np.array_equal(layer.medians(q), median.reshape(q.shape))
+
+
+def test_student_fit_makes_one_peak_search_and_one_quantile_pass(monkeypatch):
+    from spikeslab import slabs
+
+    calls = []
+
+    def spy(name):
+        fn = getattr(slabs, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(slabs, "_windows", spy("_windows"))
+    monkeypatch.setattr(slabs, "table_quantiles", spy("table_quantiles"))
+    post = fit(_SIGNED_X, complexity_prior(_SIGNED_X.size, 0.1), student_slab(3.0))
+    assert sorted(calls) == ["_windows", "table_quantiles"]
+    assert np.all(np.isfinite(post.credible_lo)) and np.all(np.isfinite(post.median))
+
+
+def test_coordinate_accessors_build_one_table(monkeypatch):
+    # marginal_cdf, marginal_quantile and coordinatewise_median of one
+    # coordinate share its cached slab values: one table for all the calls
+    from spikeslab import posterior, slabs
+
+    built = []
+    init = slabs.SlabCdfTable.__init__
+
+    def counting_init(self, prior, x, window=None):
+        built.append(x)
+        init(self, prior, x, window)
+
+    post = fit(_SIGNED_X, complexity_prior(_SIGNED_X.size, 0.1), exp_power_slab(0.5))
+    posterior._coordinate_values.cache_clear()
+    monkeypatch.setattr(slabs.SlabCdfTable, "__init__", counting_init)
+    v = post.marginal_quantile(8, 0.3)
+    for u in (v - 1e-6, v + 1e-6, 0.0, 1.0, -1.0, 5.0):
+        post.marginal_cdf(8, u)
+    assert post.coordinatewise_median(8) == post.median[8]
+    assert built == [_SIGNED_X[8]]
+    assert posterior._coordinate_values.cache_info().maxsize <= 64
+
+
+def test_kept_fit_is_two_arrays():
+    # the per-coordinate fields are rows of one array, so a fit kept by the
+    # caller costs two allocations and one slotted object; fields read the
+    # same with and without quantiles, a fit survives pickling, and a field
+    # set on a copy changes the copy alone
+    import copy
+    import pickle
+
+    x = np.array([0.3, -1.2, 4.5, 2.0])
+    post = fit(x, complexity_prior(4, 0.1), student_slab(3.0))
+    assert not hasattr(post, "__dict__")
+    assert post.coords.shape == (6, 4)
+    for field in ("x", "inclusion_prob", "mean", "median", "credible_lo", "credible_hi"):
+        assert getattr(post, field).base is post.coords, field
+    assert np.array_equal(post.x, x)
+    bare = fit(x, complexity_prior(4, 0.1), student_slab(3.0), quantiles=False)
+    assert bare.coords.shape == (3, 4) and bare.median is None
+    assert np.array_equal(bare.mean, post.mean)
+    again = pickle.loads(pickle.dumps(post))
+    assert np.array_equal(again.coords, post.coords) and again.log_partition == post.log_partition
+    moved = copy.copy(post)
+    moved.median = post.median + 1.0
+    moved.mean[0] = 7.0
+    assert np.array_equal(moved.median, post.median + 1.0) and moved.mean[0] == 7.0
+    assert np.array_equal(post.coords, again.coords)

@@ -20,7 +20,8 @@ from spikeslab import (
     zeta,
 )
 
-from spikeslab.slabs import SlabCdfTable, SlabValues, table_quantiles
+from spikeslab import slabs
+from spikeslab.slabs import SlabCdfTable, SlabValues, log_phi, table_quantiles
 
 from _oracle import make_log_density, quad_psi, quad_psi_partial, quad_zeta
 
@@ -353,6 +354,49 @@ def test_table_quantiles_batch_matches_single_tables(prior):
     batch = table_quantiles(tables, tau)
     assert batch.tolist() == [table_quantiles([t], np.array([s]))[0]
                               for t, s in zip(tables, tau)]
+
+
+# -- one peak search for every table of a SlabValues ---------------------------------
+
+TAIL_GRID = np.array([0.0, 1e-3, 1.3, 30.0, 1e3, 1e4])
+TAIL_GRID = np.concatenate([TAIL_GRID, -TAIL_GRID[1:]])
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [student_slab(3.0, s) for s in (1e-3, 1.0, 1e3)]
+    + [exp_power_slab(a, s) for a in (0.5, 1.5, 2.0) for s in (1e-3, 1.0, 1e3)]
+    + [laplace_slab(s) for s in (1e-3, 1.0, 1e3)],
+    ids=str,
+)
+def test_table_layer_is_batch_invariant(prior):
+    # one zoom finds the windows of all the tables of a SlabValues; each
+    # table, and every value read from it, is the one its entry builds
+    # alone, bit for bit (a Laplace slab builds tables for its second
+    # moment only)
+    values = SlabValues(prior, TAIL_GRID)
+    tables = slabs.slab_tables(prior, TAIL_GRID)
+    for k, x in enumerate(TAIL_GRID):
+        alone = SlabCdfTable(prior, x)
+        assert np.array_equal(tables[k].mesh, alone.mesh), x
+        for attr in ("log_psi", "mean", "second_moment", "cdf_at_zero"):
+            assert getattr(tables[k], attr) == getattr(alone, attr), (attr, x)
+        one = SlabValues(prior, TAIL_GRID[[k]])
+        for name in ("log_psi", "shrinkage", "second_moment", "cdf_at_zero"):
+            assert getattr(values, name)[k] == getattr(one, name)[0], (name, x)
+
+
+@pytest.mark.parametrize("prior", TABLE_SLABS + [exp_power_slab(1.5, 1e-3)], ids=str)
+def test_window_peak_is_the_integrand_maximum(prior):
+    # the zoomed peak is within the search's resolution of the maximum of
+    # log phi(x - t) + log g(t) on a dense grid between 0 and x
+    x = np.array([0.0, 1.3, -4.0, 30.0, -1e3])
+    for v, (lo, hi, points) in zip(x, slabs._windows(prior, x)):
+        peak = points[0]
+        t = np.linspace(min(v, 0.0), max(v, 0.0), 200_001)
+        dense = t[np.argmax(log_phi(v - t) + log_g(prior, t))]
+        assert abs(peak - dense) <= 1e-4 * max(1.0, abs(v)), v
+        assert lo == min(v, peak) - 13.0 and hi == max(v, peak) + 13.0
 
 
 # -- the slab functions of a block ---------------------------------------------------
