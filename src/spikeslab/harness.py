@@ -220,11 +220,6 @@ def run_table(config: ExperimentConfig) -> ResultTable:
               "PM2": betabin_power_prior(config.n, config.kappa)}
     tasks = [(config, priors, rep) for rep in range(config.replications)]
     if config.threads and config.threads > 1 and len(tasks) > 1:
-        # the pool forks its workers from this process: import the EB
-        # optimiser's scipy.optimize here once, not in every worker of every
-        # table (eb_binomial_weight imports it on first use)
-        import scipy.optimize  # noqa: F401
-
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             raw = list(pool.map(_table_task, tasks))
     else:

@@ -15,7 +15,10 @@ functions are evaluated once (SlabLayer) and each sweep of the polynomial
 layer runs over all R rows at a time (fit_many); fit is the block of one.
 Several sets of priors on one block share its inclusion sweep
 (SlabLayer.fit_each), and every median and credible bound of a fit comes
-from one slab quantile pass (_marginal_quantiles).
+from one slab quantile pass (_marginal_quantiles).  The empirical-Bayes
+weights of a block's rows come from one batched bisection on the score of
+their log-likelihoods (SlabLayer.eb_binomial_weights); eb_binomial_weight
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -184,9 +187,6 @@ class SlabLayer:
     log r = log psi - log phi of every coordinate.  Every fit of the block
     and its empirical-Bayes weights read these; the fitted posteriors keep
     none of them, so stored fits stay small.
-    The product of the factors, prod_i (1 + r_i Z) of each row, depends on
-    the layer alone: the first fit computes it, and rows under binomial
-    priors, which need nothing else of the polynomial layer, read it.
     """
 
     def __init__(self, slab: SlabPrior, X):
@@ -198,12 +198,32 @@ class SlabLayer:
         self.x = X
         self.values = SlabValues(slab, X)
         self.log_r = self.values.log_psi - log_phi(X)
-        self._products = None
 
     def eb_binomial_weights(self) -> np.ndarray:
-        """eb_binomial_weight of every row."""
-        return np.array([_eb_weight(lphi, lpsi)
-                         for lphi, lpsi in zip(log_phi(self.x), self.values.log_psi)])
+        """The empirical-Bayes weight of every row (Johnstone and Silverman,
+        2004): the maximiser over alpha in [min(1/n, 1 - 1e-6), 1 - 1e-6] of
+        the concave log-likelihood sum_i log(1 - alpha + alpha r_i).  That is
+        the root of its decreasing score sum_i 1 / (c_i + alpha), with
+        c_i = 1 / (r_i - 1), or the endpoint where the score keeps its sign.
+        Every row is bisected at once for a fixed 64 steps, with no tolerance
+        and no early exit, so a row's weight does not depend on the others."""
+        hi = 1.0 - 1e-6
+        lo = min(1.0 / self.x.shape[1], hi)
+        with np.errstate(divide="ignore", over="ignore"):
+            # 0 where r_i overflows, -1 where r_i = 0, inf (a zero term) where r_i = 1
+            c = 1.0 / np.expm1(self.log_r)
+
+        def positive_score(alpha):
+            return np.sum(1.0 / (c + alpha[:, None]), axis=1) > 0.0
+
+        a, b = np.full(len(c), lo), np.full(len(c), hi)
+        for _ in range(64):
+            mid = 0.5 * (a + b)
+            up = positive_score(mid)
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+        # b stays at hi where the score is positive throughout; where it is
+        # not positive at lo, it is positive nowhere above lo either
+        return np.where(positive_score(np.full(len(c), lo)), b, lo)
 
     def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> list[Posterior]:
         """The exact posterior of every row: priors is one DimensionPrior for
@@ -231,16 +251,12 @@ class SlabLayer:
         # one sweep over the rows and sets that hold a coupled prior
         rows, swept = coupled.any(axis=0), coupled.any(axis=1)
         log_r = self.log_r
+        F = np.empty(lam.shape[1:])  # the product of the factors of each row
         if rows.any():
-            F_rows, log_num = inclusion_log_numerators(
+            F[rows], log_num = inclusion_log_numerators(
                 log_r[rows], lam[swept][:, rows].transpose(1, 0, 2))
-        if self._products is None:
-            self._products = np.empty(lam.shape[1:])
-            if rows.any():
-                self._products[rows] = F_rows
-            if not rows.all():
-                self._products[~rows] = product_of_linear_factors(log_r[~rows])
-        F = self._products
+        if not rows.all():
+            F[~rows] = product_of_linear_factors(log_r[~rows])
 
         log_partition = logsumexp(lam + F, axis=2)
         dim_log_pmf = lam + F - log_partition[:, :, None]
@@ -309,34 +325,9 @@ def fit(x, dim_prior: DimensionPrior, slab: SlabPrior, levels=DEFAULT_LEVELS,
 
 
 def eb_binomial_weight(x, slab: SlabPrior) -> float:
-    """Marginal maximum-likelihood mixture weight for a binomial(n, alpha)
-    dimension prior: argmax over alpha in [min(1/n, 1 - 1e-6), 1 - 1e-6] of
-    sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i)); n = 1 gives 1 - 1e-6."""
-    x = validate_observations(x)
-    return _eb_weight(log_phi(x), SlabValues(slab, x).log_psi)
-
-
-def _eb_weight(lphi: np.ndarray, lpsi: np.ndarray) -> float:
-    """eb_binomial_weight from log phi and log psi of the observations."""
-
-    def neg_loglik(alpha):
-        return -float(
-            np.logaddexp(np.log1p(-alpha) + lphi, np.log(alpha) + lpsi).sum()
-        )
-
-    hi = 1.0 - 1e-6
-    lo = min(1.0 / lphi.size, hi)
-    if lo >= hi:  # n = 1 corner
-        return hi
-    # imported here: scipy.optimize loads scipy.linalg, sparse and spatial,
-    # about 25 MB that a process fitting no empirical-Bayes weight never needs
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(neg_loglik, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8})
-    best = float(res.x)
-    # the likelihood can be monotone; snap to an endpoint when it wins
-    for cand in (lo, hi):
-        if neg_loglik(cand) < neg_loglik(best):
-            best = cand
-    return best
+    """Empirical-Bayes mixture weight for a binomial(n, alpha) dimension
+    prior: the root in [min(1/n, 1 - 1e-6), 1 - 1e-6] of the score of
+    sum_i log((1 - alpha) phi(x_i) + alpha psi(x_i)), or the endpoint where
+    the score keeps its sign; n = 1 gives 1 - 1e-6.  The one-row case of
+    SlabLayer.eb_binomial_weights."""
+    return float(SlabLayer(slab, validate_observations(x)[None]).eb_binomial_weights()[0])

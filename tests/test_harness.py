@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +145,27 @@ def test_run_table_deterministic_across_workers(tiny_table):
     for key, cell in serial.cells.items():
         assert parallel.cells[key].mean_loss == cell.mean_loss  # bit-identical
         assert parallel.cells[key].se == cell.se
+
+
+def test_empirical_bayes_loads_no_scipy_optimize():
+    # in a fresh interpreter: an EB weight and a two-worker table with the EB
+    # estimators leave scipy.optimize unimported
+    script = """
+import sys
+import numpy as np
+from spikeslab import ExperimentConfig, eb_binomial_weight, laplace_slab, run_table
+eb_binomial_weight(np.array([0.5, 3.0, -4.0]), laplace_slab())
+table = run_table(ExperimentConfig(n=20, pn_grid=(2,), amplitudes=(3.0,), replications=2,
+                                   threads=2, estimators=("PM1", "EBM", "EBMed"), seed=3))
+assert not table.failures and table.cells
+print("scipy.optimize" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_run_table_serialization(tiny_table, tmp_path):

@@ -22,6 +22,7 @@ from spikeslab import (
     student_slab,
 )
 from spikeslab.posterior import SlabLayer, validate_observations
+from spikeslab.slabs import SlabFamily
 
 from _oracle import BruteForcePosterior, make_log_density
 
@@ -402,13 +403,14 @@ def test_custom_levels():
 
 
 def test_eb_weight_all_zero_observations():
+    # a score negative throughout gives the lower end exactly
     x = np.zeros(50)
-    assert eb_binomial_weight(x, laplace_slab()) == pytest.approx(1 / 50, abs=1e-9)
+    assert eb_binomial_weight(x, laplace_slab()) == 1 / 50
 
 
 def test_eb_weight_all_large_observations():
     x = np.full(50, 10.0)
-    assert eb_binomial_weight(x, laplace_slab()) == pytest.approx(1 - 1e-6, abs=1e-6)
+    assert eb_binomial_weight(x, laplace_slab()) == 1 - 1e-6
 
 
 def test_eb_weight_mixed_sample_stays_in_bounds():
@@ -436,6 +438,61 @@ def test_eb_weight_maximizes_marginal_likelihood():
     best = eb_binomial_weight(x, slab)
     grid = np.linspace(1 / 30, 1 - 1e-6, 400)
     assert loglik(best) >= max(loglik(a) for a in grid) - 1e-7
+
+
+def _mp_eb_weight(slab, x):
+    """The EB weight in 50-digit arithmetic: the root of the score
+    sum_i (r_i - 1) / (1 + alpha (r_i - 1)) on [min(1/n, 1 - 1e-6), 1 - 1e-6],
+    or the endpoint where the score keeps its sign."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = mp.mpf(slab.scale)
+        r = []
+        for xi in map(mp.mpf, x):
+            if slab.family is SlabFamily.LAPLACE:
+                psi = a / 2 * mp.exp(a * a / 2) * (mp.exp(-a * xi) * mp.ncdf(xi - a)
+                                                   + mp.exp(a * xi) * mp.ncdf(-xi - a))
+            else:
+                psi = mp.npdf(xi, 0, mp.sqrt(1 + a * a))
+            r.append(psi / mp.npdf(xi))
+
+        def score(alpha):
+            return mp.fsum((ri - 1) / (1 + alpha * (ri - 1)) for ri in r)
+
+        hi = mp.mpf(1.0 - 1e-6)
+        lo = mp.mpf(min(1.0 / len(x), 1.0 - 1e-6))
+        if score(lo) <= 0:
+            return float(lo)
+        if score(hi) >= 0:
+            return float(hi)
+        return float(mp.findroot(score, (lo, hi), solver="anderson"))
+
+
+def _with_signals(x, k, value):
+    x = np.array(x, dtype=float)
+    x[:k] = value
+    return x
+
+
+_NOISE = np.random.default_rng(47).normal(size=40)
+
+
+@pytest.mark.parametrize("slab,x", [
+    (laplace_slab(), _with_signals(_NOISE, 3, 3.0)),
+    (laplace_slab(), _with_signals(_NOISE, 3, 1e4)),
+    (laplace_slab(), _with_signals(np.zeros(40), 6, -1e4)),
+    (laplace_slab(), np.zeros(40)),
+    (laplace_slab(), np.array([1e4])),
+    (laplace_slab(1e3), _with_signals(_NOISE, 10, 1e4)),
+    (laplace_slab(1e3), np.zeros(40)),
+    (gaussian_slab(), _with_signals(np.zeros(40), 9, 1e4)),
+    (gaussian_slab(), _with_signals(_NOISE, 2, 1e4)),
+    (gaussian_slab(), np.array([0.5])),
+], ids=lambda v: getattr(v, "family", None) and f"{v.family.value}-{v.scale:g}")
+def test_eb_weight_is_the_high_precision_root_of_the_score(slab, x):
+    # a 1e4 signal makes log r about 5e7, where the log-likelihood's rounding
+    # swamps its curvature but its score stays exact to rounding
+    assert eb_binomial_weight(x, slab) == pytest.approx(_mp_eb_weight(slab, x), rel=1e-12)
 
 
 def test_eb_weight_single_observation():
@@ -592,9 +649,17 @@ def test_fit_many_validation():
 
 
 def test_slab_layer_eb_weights_match_eb_binomial_weight():
-    X = np.random.default_rng(61).normal(scale=3.0, size=(3, 40))
+    # one block whose rows have their roots at lo (all nulls), at hi (all
+    # large), inside, and with |x| = 1e4; each row's weight is the one-row call's
+    rng = np.random.default_rng(61)
+    far = rng.normal(size=40)
+    far[:6] = [1e4, -1e4, 1e4, 5.0, -1e4, 1e4]
+    X = np.vstack([rng.normal(scale=3.0, size=(3, 40)), np.zeros(40), np.full(40, 10.0),
+                   rng.normal(size=40) + np.where(np.arange(40) < 8, 4.0, 0.0), far])
     weights = SlabLayer(laplace_slab(), X).eb_binomial_weights()
     assert weights.tolist() == [eb_binomial_weight(x, laplace_slab()) for x in X]
+    assert weights[3] == 1.0 / 40 and weights[4] == 1.0 - 1e-6
+    assert 1.0 / 40 < weights[5] < 1.0 - 1e-6 and 1.0 / 40 < weights[6] < 1.0 - 1e-6
 
 
 def _assert_identical_posterior(a, b):
@@ -630,8 +695,8 @@ def test_fit_each_equals_one_fit_per_set(slab, n):
 
 
 def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
-    # sets under binomial priors run no inclusion sweep, and a later call
-    # reads the product that the layer's first call computed
+    # sets under binomial priors run no inclusion sweep: one product of the
+    # factors serves every binomial set of a call
     from spikeslab import posterior
 
     calls = []
@@ -646,7 +711,6 @@ def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
     X = np.random.default_rng(79).normal(scale=2.0, size=(3, 12))
     layer = SlabLayer(laplace_slab(), X)
     layer.fit_each([binomial_prior(12, 0.1), binomial_prior(12, 0.4)], quantiles=False)
-    layer.fit(binomial_prior(12, 0.3), quantiles=False)
     assert calls == [(3, 12)]
 
 
