@@ -14,11 +14,15 @@ contraction check.  phi is the standard normal density.
 SlabValues evaluates all of them once for an array of observations, and is
 the one place that decides how a family is evaluated.  Laplace and Gaussian
 slabs use closed forms on the log scale (log-Phi via erfc keeps the
-e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones all
-come from one pair of log-Phi arrays.  Student and exponential-power slabs,
-and the Laplace second moment, come from one panel Gauss-Legendre table per
-distinct observation (SlabCdfTable); one peak search, zooming a grid for
-every distinct observation at once (_windows), places all their windows.
+e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones,
+second moment included, all come from one pair of log-Phi arrays.  Student
+and exponential-power slabs come from one stacked panel Gauss-Legendre table
+over the distinct observations (PanelTables): one peak search, zooming a
+grid for every observation at once (_windows), places all their windows,
+one sort lays out all their meshes (_meshes), and one rule evaluation
+covers the panels of many observations at once.  A mesh is graded toward
+the origin only down to the length scale of g there (_graded_knots): to
+1e-13 where g has a kink, not at all for a unit-scale Student slab.
 log_psi, posterior_shrinkage, zeta and second_moment_ratio read a
 SlabValues.
 
@@ -26,10 +30,10 @@ The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
 inverted exactly, with no bisection (SlabValues.quantile), from the same
 arrays: the Gaussian slab posterior is normal; the Laplace one is a two-piece
 mixture of normals split at 0, with the log weights psi comes from, inverted
-by one ndtri_exp call on the piece that holds the level; a panel table sums
-its panels up to u, and is inverted inside the one panel that holds the
-level by safeguarded Newton steps batched over every coordinate of a call
-(table_quantiles).
+by one ndtri_exp call on the piece that holds the level; the panel table
+sums an observation's panels up to u, and is inverted inside the one panel
+that holds the level by safeguarded Newton steps batched over every
+coordinate of a call (table_quantiles).
 """
 
 from __future__ import annotations
@@ -146,18 +150,23 @@ def log_g(prior: SlabPrior, t):
 
 
 # ---------------------------------------------------------------------------
-# panel quadrature (Student, exponential-power, Laplace second moment)
+# panel quadrature (Student, exponential-power)
 # ---------------------------------------------------------------------------
 
 _PANELS_PER_HALFWIDTH = 32  # panels across _QUAD_HALFWIDTH, at most
 _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-_QUAD_TOL = 1e-10  # relative accuracy asked of a table (see _panel_quadrature)
+_QUAD_TOL = 1e-10  # relative accuracy asked of a table (see PanelTables)
+# rule rows (panels, the halved ones included) of one evaluation: a (rows, 16)
+# array is 60 KB, and a fit's working set stays near 440 KB.  On a 2-core Xeon,
+# 960 rows built the tables about 10% faster but peaked at 640 KB, and one
+# evaluation over all 4000-9000 rows of a fit at n = 20 was about 40% slower
+_RULE_ROWS = 480
 
 
-def _windows(prior: SlabPrior, x: np.ndarray) -> list[tuple[float, float, tuple]]:
-    """(lo, hi, points) of each entry of the 1-d array x: the integration
-    window for t -> phi(x - t) g(t) and the knots the panel mesh must contain.
+def _windows(prior: SlabPrior, x: np.ndarray):
+    """(lo, hi, peak) of each entry of the 1-d array x: the integration
+    window for t -> phi(x - t) g(t) and the integrand's maximum.
 
     g is symmetric and nonincreasing in |t|, so the maximum lies between 0
     and x: near x for a heavy slab, pulled toward 0 for a light one, where
@@ -165,8 +174,7 @@ def _windows(prior: SlabPrior, x: np.ndarray) -> list[tuple[float, float, tuple]
     65-point grid that contains both ends, one row per entry, all entries at
     once; an entry stops zooming when its grid spacing is within
     _PEAK_STEP * max(1, |x|).  The window reaches _QUAD_HALFWIDTH beyond the
-    peak and beyond x.  The knots are the kinks at 0 and x, the peak, and
-    the peak +/- _QUAD_HALFWIDTH.
+    peak and beyond x.
     """
     x = np.asarray(x, dtype=float)
     a, b = np.minimum(x, 0.0), np.maximum(x, 0.0)
@@ -181,21 +189,53 @@ def _windows(prior: SlabPrior, x: np.ndarray) -> list[tuple[float, float, tuple]
         done = b[m] - a[m] <= tol[m]
         a[m], b[m] = grid[rows, np.maximum(k - 1, 0)], grid[rows, np.minimum(k + 1, 64)]
         m = m[~done]
-    lo = np.minimum(x, peak) - _QUAD_HALFWIDTH
-    hi = np.maximum(x, peak) + _QUAD_HALFWIDTH
-    return [(l, h, (p, p - _QUAD_HALFWIDTH, p + _QUAD_HALFWIDTH, 0.0, v))
-            for l, h, p, v in zip(lo.tolist(), hi.tolist(), peak.tolist(), x.tolist())]
+    return np.minimum(x, peak) - _QUAD_HALFWIDTH, np.maximum(x, peak) + _QUAD_HALFWIDTH, peak
 
 
-def _mesh(lo: float, hi: float, points) -> np.ndarray:
-    """Knots on [lo, hi]: a uniform spacing of at most _QUAD_HALFWIDTH / 32,
-    the given points, and knots at +/- 2^-k (k = 1..43), which resolve the
-    kink of g at 0."""
-    knots = np.concatenate([
-        np.linspace(lo, hi, math.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH) + 1),
-        np.asarray(points, dtype=float), -_GRADED, _GRADED])
-    mesh = np.unique(knots)
-    return mesh[(mesh >= lo) & (mesh <= hi)]
+def _graded_knots(prior: SlabPrior) -> np.ndarray:
+    """The knots +/- 2^-k toward the origin, down to the length scale of g
+    near 0: all 43 levels (to 1.1e-13) where g has a kink at 0
+    (exponential-power with alpha < 2), down to s sqrt(nu) for a Student
+    slab and to s for exponential-power with alpha = 2, which are smooth and
+    flat below that scale."""
+    if prior.family is SlabFamily.STUDENT:
+        floor = prior.scale * math.sqrt(prior.shape)
+    else:
+        floor = prior.scale if prior.shape == 2.0 else 0.0
+    graded = _GRADED[_GRADED >= floor]
+    return np.concatenate([-graded, graded])
+
+
+def _meshes(prior: SlabPrior, x: np.ndarray):
+    """(mesh, start): the knots of every entry of the 1-d array x, stacked;
+    those of entry j are mesh[start[j]:start[j + 1]].
+
+    The knots of an entry span its window (one peak search, _windows, for
+    all entries): a uniform spacing of at most _QUAD_HALFWIDTH / 32, the
+    kinks at 0 and x, the peak, the peak +/- _QUAD_HALFWIDTH and the graded
+    knots of the slab (_graded_knots).
+    """
+    lo, hi, peak = _windows(prior, x)
+    n = x.size
+    count = np.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH).astype(int) + 1
+    ends = np.cumsum(count)
+    owner = np.repeat(np.arange(n), count)
+    # np.linspace(lo, hi, count) of each entry
+    step = (hi - lo) / (count - 1)
+    grid = (np.arange(ends[-1]) - (ends - count)[owner]) * step[owner] + lo[owner]
+    grid[ends - 1] = hi
+    graded = _graded_knots(prior)
+    points = np.column_stack([peak, peak - _QUAD_HALFWIDTH, peak + _QUAD_HALFWIDTH, np.zeros(n), x,
+                              np.broadcast_to(graded, (n, graded.size))])
+    knots = np.concatenate([grid, points.ravel()])
+    owner = np.concatenate([owner, np.repeat(np.arange(n), points.shape[1])])
+    inside = (knots >= lo[owner]) & (knots <= hi[owner])
+    knots, owner = knots[inside], owner[inside]
+    order = np.lexsort((knots, owner))
+    knots, owner = knots[order], owner[order]
+    new = np.ones(knots.size, dtype=bool)
+    new[1:] = (knots[1:] != knots[:-1]) | (owner[1:] != owner[:-1])
+    return knots[new], np.searchsorted(owner[new], np.arange(n + 1))
 
 
 def _panel_rule(prior: SlabPrior, x, a, b):
@@ -215,104 +255,159 @@ def _partial_mass(prior: SlabPrior, x, a, u, shift):
     return (np.exp(log_f - np.reshape(shift, (-1, 1))) * w).sum(axis=1)
 
 
-def _panel_quadrature(prior: SlabPrior, x: float, mesh: np.ndarray):
-    """(t, vals, shift, error): nodes, rule weights times the integrand
-    scaled by exp(-shift), shift = the largest log integrand, and the
-    relative change of the integral when every panel is halved.
-
-    Raises QuadratureError when that change exceeds 10 * _QUAD_TOL plus
-    the rounding floor of the log integrand (machine epsilon times its
-    size at the peak).
-    """
-    a, b = mesh[:-1], mesh[1:]
-    t, log_f, w = _panel_rule(prior, x, a, b)
-    shift = float(log_f.max())
-    vals = np.exp(log_f - shift) * w
+def _panel_masses(prior: SlabPrior, x, panels, a, b):
+    """(shift, mass, moment, halved) of the entries x, with panels[j] panels
+    each, on the panels [a, b]: each entry's largest log integrand; each
+    panel's integral of exp(-shift) phi(x - t) g(t), and of t times it; and
+    each entry's integral on the halved panels, for the refinement check.
+    One rule evaluation covers the panels and their two halves."""
+    m, seg = a.size, np.cumsum(panels) - panels
     mid = 0.5 * (a + b)
-    _, log_f2, w2 = _panel_rule(prior, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
-    error = abs(float((np.exp(log_f2 - shift) * w2).sum()) / float(vals.sum()) - 1.0)
-    if error > 10.0 * _QUAD_TOL + np.finfo(float).eps * abs(shift):
-        raise QuadratureError(
-            f"panel quadrature at x = {x:g} on [{mesh[0]:g}, {mesh[-1]:g}] did not converge",
-            error)
-    return t, vals, shift, error
+    t, log_f, w = _panel_rule(prior, np.tile(np.repeat(x, panels), 3),
+                              np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
+    shift = np.maximum.reduceat(log_f[:m].max(axis=1), seg)
+    log_f -= np.tile(np.repeat(shift, panels), 3)[:, None]
+    vals = np.exp(log_f, out=log_f)
+    vals *= w
+    mass = vals.sum(axis=1)
+    halved = np.add.reduceat(mass[m:2 * m], seg) + np.add.reduceat(mass[2 * m:], seg)
+    return shift, mass[:m], (vals[:m] * t[:m]).sum(axis=1), halved
 
 
-class SlabCdfTable:
-    """Panel quadrature of t -> phi(x - t) g(t) for one observation x.
+def _panel_second_moments(prior: SlabPrior, x, panels, a, b, shift):
+    """Each panel's integral of t^2 exp(-shift) phi(x - t) g(t), for the
+    entries x with panels[j] panels each and their shifts."""
+    t, log_f, w = _panel_rule(prior, np.repeat(x, panels), a, b)
+    return (np.exp(log_f - np.repeat(shift, panels)[:, None]) * w * t * t).sum(axis=1)
 
-    window is x's (lo, hi, points) from _windows, which slab_tables finds
-    for all its observations at once; without it the table finds its own.
-    The mesh spans the window with panels no wider than
-    _QUAD_HALFWIDTH / 32, plus the window's knots and knots graded
-    geometrically toward the kink of g at t = 0; each panel gets the
-    16-point Gauss-Legendre rule, and QuadratureError is raised when the
-    rule has not converged (see _panel_quadrature).  Built once per
-    observation, the table gives log psi(x), the slab-conditional mean
-    zeta/psi and second moment, the slab conditional cdf
-    H(u) = psi(x, u) / psi(x), its value `cdf_at_zero` at the knot 0, its
-    exact inverse (table_quantiles), and `error`, the refinement estimate.
-    The integrand is scaled by its largest value, so psi and the moments
-    stay finite when psi underflows the linear domain.
+
+class PanelTables:
+    """Panel quadrature of t -> phi(x - t) g(t) for every entry of a 1-d
+    array x of observations, stacked: the knots and cumulative sums of
+    entry j are mesh[start[j]:start[j + 1]] and cum[start[j]:start[j + 1]].
+
+    The mesh of an entry (_meshes) spans its window; each panel gets the
+    16-point Gauss-Legendre rule.  One rule evaluation covers the panels of
+    many entries and their halved panels, for the refinement check, at once:
+    whole entries, up to _RULE_ROWS rows (_panel_masses).  Every reduction
+    is over one panel's nodes (a row) or one entry's own panels
+    (np.maximum.reduceat, np.add.reduceat, one cumsum per entry), so an
+    entry reads the same, bit for bit, whatever else is stacked with it.
+    The integrand of an entry is scaled by its largest value, exp(shift),
+    so psi and the moments stay finite when psi underflows the linear
+    domain.
+
+    Per entry: log_psi, the slab-conditional mean zeta/psi, the slab cdf
+    H(u) = psi(x, u) / psi(x) (cdf) and its value cdf_at_zero at the knot 0,
+    its exact inverse (table_quantiles), the panel count (panels) and the
+    refinement estimate (error): the relative change of psi when every panel
+    is halved.  QuadratureError is raised when an error exceeds
+    10 * _QUAD_TOL plus the rounding floor of the log integrand (machine
+    epsilon times its size at the peak).  The second moment is formed on
+    first use (second_moment).
     """
 
-    def __init__(self, prior: SlabPrior, x: float, window: tuple | None = None):
+    def __init__(self, prior: SlabPrior, x: np.ndarray):
         self.prior = prior
-        self.x = float(x)
-        if window is None:
-            window = _windows(prior, np.array([self.x]))[0]
-        self.mesh = _mesh(*window)
-        t, vals, self._shift, self.error = _panel_quadrature(prior, self.x, self.mesh)
-        self.cum = np.concatenate([[0.0], np.cumsum(vals.sum(axis=1))])
-        self.total = float(self.cum[-1])
-        self.log_psi = self._shift + math.log(self.total)
-        self.mean = float((vals * t).sum()) / self.total
-        self.second_moment = float((vals * t * t).sum()) / self.total
+        self.x = x
+        self.mesh, self.start = _meshes(prior, x)
+        self.panels = np.diff(self.start) - 1
+        first = self.start - np.arange(x.size + 1)  # of each entry's panels
+        self.shift = np.empty(x.size)
+        sums, moments, halved = np.empty(first[-1]), np.empty(first[-1]), np.empty(x.size)
+        a, b = self._panel_ends()
+        # _panel_masses frees a chunk's rule arrays before the next is built
+        for j0, j1, r in self._chunks(3):
+            self.shift[j0:j1], sums[r], moments[r], halved[j0:j1] = _panel_masses(
+                prior, x[j0:j1], self.panels[j0:j1], a[r], b[r])
+        self.cum = np.zeros(self.mesh.size)
+        for j in range(x.size):
+            np.cumsum(sums[first[j]:first[j + 1]],
+                      out=self.cum[self.start[j] + 1:self.start[j + 1]])
+        self.total = self.cum[self.start[1:] - 1]
+        self.log_psi = self.shift + np.log(self.total)
+        self.mean = np.add.reduceat(moments, first[:-1]) / self.total
+        self.error = np.abs(halved / self.total - 1.0)
+        bad = self.error - (10.0 * _QUAD_TOL + np.finfo(float).eps * np.abs(self.shift))
+        if np.any(bad > 0.0):
+            j = int(np.argmax(bad))
+            raise QuadratureError(
+                f"panel quadrature at x = {x[j]:g} on [{self.mesh[self.start[j]]:g}, "
+                f"{self.mesh[self.start[j + 1] - 1]:g}] did not converge", float(self.error[j]))
         # 0 is a knot whenever it lies in the window, so H(0) is a cumulative
         # sum: the last one at a knot <= 0, or 0 when the window is positive
-        k = int(np.searchsorted(self.mesh, 0.0, side="right"))
-        self.cdf_at_zero = float(self.cum[k - 1]) / self.total if k else 0.0
+        k = np.add.reduceat(self.mesh <= 0.0, self.start[:-1])
+        self.cdf_at_zero = np.where(k > 0, self.cum[self.start[:-1] + k - 1], 0.0) / self.total
 
-    def cdf(self, u: float) -> float:
-        """H(u) = psi(x, u) / psi(x), clipped to [0, 1]."""
+    def _panel_ends(self):
+        """(a, b): the ends of every panel, stacked like the knots."""
+        left = np.ones(self.mesh.size, dtype=bool)
+        left[self.start[1:] - 1] = False
+        k = np.flatnonzero(left)
+        return self.mesh[k], self.mesh[k + 1]
+
+    def _chunks(self, rows_per_panel: int):
+        """(j0, j1, r): runs of whole entries j0 .. j1 - 1 and their panels r,
+        at most _RULE_ROWS rule rows at rows_per_panel rows a panel (or one
+        entry)."""
+        first = self.start - np.arange(self.x.size + 1)
+        j0 = 0
+        while j0 < self.x.size:
+            last = first[j0] + _RULE_ROWS // rows_per_panel
+            j1 = max(int(np.searchsorted(first, last, side="right")) - 1, j0 + 1)
+            yield j0, j1, slice(first[j0], first[j1])
+            j0 = j1
+
+    def second_moment(self) -> np.ndarray:
+        """int t^2 phi(x - t) g(t) dt / psi(x) of every entry, from the rule
+        on every panel once more."""
+        a, b = self._panel_ends()
+        sums = np.empty(a.size)
+        for j0, j1, r in self._chunks(1):
+            sums[r] = _panel_second_moments(self.prior, self.x[j0:j1], self.panels[j0:j1],
+                                            a[r], b[r], self.shift[j0:j1])
+        return np.add.reduceat(sums, self.start[:-1] - np.arange(self.x.size)) / self.total
+
+    def cdf(self, j: int, u: float) -> float:
+        """H(u) = psi(x, u) / psi(x) of entry j, clipped to [0, 1]."""
         u = float(u)
-        if u <= self.mesh[0]:
+        mesh = self.mesh[self.start[j]:self.start[j + 1]]
+        if u <= mesh[0]:
             return 0.0
-        if u >= self.mesh[-1]:
+        if u >= mesh[-1]:
             return 1.0
-        k = int(np.searchsorted(self.mesh, u)) - 1
-        part = float(_partial_mass(self.prior, self.x, self.mesh[k], u, self._shift)[0])
-        return min(max((self.cum[k] + part) / self.total, 0.0), 1.0)
+        k = int(np.searchsorted(mesh, u)) - 1
+        part = float(_partial_mass(self.prior, self.x[j], mesh[k], u, self.shift[j])[0])
+        cum = self.cum[self.start[j] + k]
+        return min(max((cum + part) / self.total[j], 0.0), 1.0)
 
 
-def table_quantiles(tables, tau) -> np.ndarray:
-    """Generalized inverse of H, inf {u : H(u) >= tau}, for each table of
-    the sequence at its entry of tau in (0, 1), all tables at once.
+def table_quantiles(tables: PanelTables, j: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Generalized inverse of H, inf {u : H(u) >= tau}, of the entries j of
+    the tables at the levels tau in (0, 1), all at once.
 
     The level lies in the first panel whose cumulative sum reaches
-    tau * total, found over the stacked sums of all the tables, so panels of
-    zero mass are passed over.  Inside that panel, Newton steps solve
-    "rule on [panel start, u] = tau * total - mass before the panel" with the
-    integrand as the derivative; each step is one 16-point rule for every
-    coordinate still moving, and a step that leaves the bracket of the root
-    bisects it instead.  A coordinate stops when its step is within the
-    float resolution of its panel, or its residual within the rounding of
-    the log integrand and the cumulative sums.  All tables share one slab
-    prior.
+    tau * total, found for every coordinate by one search of the
+    (entry, cumulative sum) keys, so panels of zero mass are passed over.
+    Inside that panel, Newton steps solve "rule on [panel start, u] =
+    tau * total - mass before the panel" with the integrand as the
+    derivative; each step is one 16-point rule for every coordinate still
+    moving, and a step that leaves the bracket of the root bisects it
+    instead.  A coordinate stops when its step is within the float
+    resolution of its panel, or its residual within the rounding of the log
+    integrand and the cumulative sums.
     """
     tau = np.asarray(tau, dtype=float)
-    prior = tables[0].prior
-    sizes = np.array([t.cum.size for t in tables])
-    starts = np.cumsum(sizes) - sizes
-    cum = np.concatenate([t.cum for t in tables])
-    mesh = np.concatenate([t.mesh for t in tables])
-    x = np.array([t.x for t in tables])
-    shift = np.array([t._shift for t in tables])
-    target = tau * np.array([t.total for t in tables])
-    # knot k ends the panel: the first knot whose cumulative sum reaches the
-    # target (cum starts at 0 < target and ends at total >= target)
-    below = np.add.reduceat(cum < np.repeat(target, sizes), starts)
-    k = starts + np.clip(below, 1, sizes - 1)
+    prior, cum, mesh = tables.prior, tables.cum, tables.mesh
+    x, shift = tables.x[j], tables.shift[j]
+    target = tau * tables.total[j]
+    # knot k ends the panel: the first knot of entry j whose cumulative sum
+    # reaches the target (cum starts at 0 < target and ends at total >= target);
+    # numpy orders complex numbers lexicographically, so one searchsorted on
+    # entry + i cum finds it for every coordinate, exactly
+    key = np.repeat(np.arange(tables.x.size), tables.panels + 1) + 1j * cum
+    k = np.searchsorted(key, j + 1j * target)
+    k = np.clip(k, tables.start[j] + 1, tables.start[j + 1] - 1)
     start, hi = mesh[k - 1], mesh[k]
     lo = start.copy()
     need = target - cum[k - 1]
@@ -340,12 +435,23 @@ def table_quantiles(tables, tau) -> np.ndarray:
     return u
 
 
-def slab_tables(prior: SlabPrior, x: np.ndarray) -> list[SlabCdfTable]:
-    """A SlabCdfTable for each entry of the 1-d array x, one per distinct
-    value; one peak search finds the windows of all of them."""
-    values, inverse = np.unique(x, return_inverse=True)
-    tables = [SlabCdfTable(prior, v, w) for v, w in zip(values, _windows(prior, values))]
-    return [tables[k] for k in inverse.ravel()]
+_MILLS_TERMS = 100  # depth of the continued fraction: exact to rounding for y > 2.5
+
+
+def _excess_second_moment(y):
+    """E[(Z - y)^2 | Z > y] for a standard normal Z, elementwise.
+
+    It is 1 + y^2 - y lambda with lambda = phi(y) / Phi(-y), the inverse
+    Mills ratio; for y > 2.5 those terms cancel (the value tends to 2 / y^2),
+    and it is 2 / (y D + 2) with D = y + 3 / (y + 4 / (y + 5 / ...)), from
+    Laplace's continued fraction lambda = y + 1 / (y + 2 / D).
+    """
+    tail = y > 2.5
+    yt = np.where(tail, y, 3.0)
+    d = yt
+    for k in range(_MILLS_TERMS, 2, -1):
+        d = yt + k / d
+    return np.where(tail, 2.0 / (yt * d + 2.0), 1.0 + y * y - y * np.exp(log_phi(y) - log_ndtr(-y)))
 
 
 def _gaussian_posterior(s: float, x):
@@ -362,16 +468,18 @@ class SlabValues:
     the slab cdf H(u) = psi(x, u) / psi(x) and cdf evaluates it, both at
     entries named by their index into the flattened x.  This is the one
     place that decides how a slab family is evaluated: closed forms for the
-    Laplace and Gaussian slabs, one SlabCdfTable per distinct observation
-    for the Student and exponential-power slabs (and for the Laplace second
-    moment).
+    Laplace and Gaussian slabs, one PanelTables over the distinct
+    observations for the Student and exponential-power slabs.  From the
+    tables it keeps quadrature_error, the largest refinement estimate, and
+    panels, the panel count of each entry (0.0 and zeros for the closed
+    forms).
 
     The Laplace slab posterior of x is N(x + a, 1) below 0 with log weight
     L- = a x + log Phi(-x - a) and N(x - a, 1) above 0 with log weight
-    L+ = -a x + log Phi(x - a); psi, zeta and H(0) all come from those two
-    log Phi arrays.  H and its inverse use L - a x and L + a x,
-    L = logaddexp(L-, L+), formed without the large terms +/- a x, so no
-    cancellation.  The Gaussian slab posterior is N(m, sd^2).
+    L+ = -a x + log Phi(x - a); psi, zeta, H(0) and the second moment all
+    come from those two log Phi arrays.  H and its inverse use L - a x and
+    L + a x, L = logaddexp(L-, L+), formed without the large terms +/- a x,
+    so no cancellation.  The Gaussian slab posterior is N(m, sd^2).
     """
 
     def __init__(self, prior: SlabPrior, x):
@@ -381,6 +489,8 @@ class SlabValues:
         self.prior = prior
         self.x = x
         self._tables = None
+        self.quadrature_error = 0.0
+        self.panels = np.zeros(x.shape, dtype=int)
         a = prior.scale
         if prior.family is SlabFamily.LAPLACE:
             neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
@@ -400,23 +510,32 @@ class SlabValues:
             self.shrinkage, sd = _gaussian_posterior(a, x)
             self.cdf_at_zero = ndtr(-self.shrinkage / sd)
         else:
-            self._tables = slab_tables(prior, x.ravel())
-            self.log_psi = self._gather(self._tables, "log_psi")
-            self.shrinkage = self._gather(self._tables, "mean")
-            self.cdf_at_zero = self._gather(self._tables, "cdf_at_zero")
-
-    def _gather(self, tables, attr: str) -> np.ndarray:
-        return np.array([getattr(t, attr) for t in tables]).reshape(self.x.shape)
+            values, inverse = np.unique(x, return_inverse=True)
+            self._tables = PanelTables(prior, values)
+            self._entry = inverse.reshape(x.shape)  # the table entry of each x
+            self.log_psi = self._tables.log_psi[self._entry]
+            self.shrinkage = self._tables.mean[self._entry]
+            self.cdf_at_zero = self._tables.cdf_at_zero[self._entry]
+            self.quadrature_error = float(self._tables.error.max())
+            self.panels = self._tables.panels[self._entry]
 
     @cached_property
     def second_moment(self) -> np.ndarray:
-        """int t^2 phi(x - t) g(t) dt / psi(x), the slab-conditional second moment."""
+        """int t^2 phi(x - t) g(t) dt / psi(x), the slab-conditional second moment.
+
+        The Laplace one is (1 - H(0)) E(a - x) + H(0) E(a + x): the weight
+        of each piece times its second moment, that of a normal truncated at
+        0 (_excess_second_moment).  1 - H(0) rounds to eps absolute; where
+        that is large against it, x < 0 and E(a - x) < E(a + x).
+        """
+        a, x = self.prior.scale, self.x
+        if self._tables is not None:
+            return self._tables.second_moment()[self._entry]
         if self.prior.family is SlabFamily.GAUSSIAN:
-            a = self.prior.scale
             m = self.shrinkage
             return m * m + (a * a) / (1.0 + a * a)
-        tables = self._tables if self._tables is not None else slab_tables(self.prior, self.x.ravel())
-        return self._gather(tables, "second_moment")
+        h0 = self.cdf_at_zero
+        return (1.0 - h0) * _excess_second_moment(a - x) + h0 * _excess_second_moment(a + x)
 
     def quantile(self, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Generalized inverse of H, inf {u : H(u) >= tau}, of the entries
@@ -425,8 +544,8 @@ class SlabValues:
 
         The Gaussian slab posterior gives m + sd ndtri(tau).  The Laplace
         one gives u = x + a + ndtri_exp(log tau + L - a x) for tau <= H(0),
-        else u = x - a - ndtri_exp(log(1 - tau) + L + a x).  A panel table
-        is inverted by table_quantiles.
+        else u = x - a - ndtri_exp(log(1 - tau) + L + a x).  The panel
+        tables are inverted by table_quantiles.
         """
         out = np.where(tau <= 0.0, -np.inf, np.inf)
         inside = (tau > 0.0) & (tau < 1.0)
@@ -435,7 +554,7 @@ class SlabValues:
             return out
         x, a = np.take(self.x, k), self.prior.scale
         if self._tables is not None:
-            out[inside] = table_quantiles([self._tables[j] for j in k], tau)
+            out[inside] = table_quantiles(self._tables, np.take(self._entry, k), tau)
         elif self.prior.family is SlabFamily.LAPLACE:
             below = tau <= np.take(self.cdf_at_zero, k)
             out[inside] = np.where(below, x + a + ndtri_exp(np.log(tau) + np.take(self._l_minus, k)),
@@ -451,11 +570,11 @@ class SlabValues:
 
         The Gaussian slab posterior gives Phi((u - m) / sd).  The Laplace one
         gives exp(log Phi(u - x - a) - (L - a x)) for u <= 0, else
-        1 - exp(log Phi(x - a - u) - (L + a x)).  A panel table evaluates
-        its own cdf.
+        1 - exp(log Phi(x - a - u) - (L + a x)).  The panel tables sum the
+        entry's panels up to u.
         """
         if self._tables is not None:
-            return self._tables[k].cdf(u)
+            return self._tables.cdf(int(self._entry.flat[k]), u)
         x, a = self.x.flat[k], self.prior.scale
         if self.prior.family is SlabFamily.LAPLACE:
             if u <= 0.0:

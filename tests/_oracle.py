@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
@@ -51,49 +51,56 @@ def make_log_density(family: str, scale: float, shape: float | None = None):
 _LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _kernel(log_density, x: float):
-    """Integrand t -> phi(x - t) g(t) as a cheap scalar callable."""
-    return lambda t: math.exp(
-        -0.5 * (x - t) ** 2 - _LOG_ROOT_2PI + float(log_density(t))
+def peak(log_density, x: float) -> float:
+    """The maximum of t -> phi(x - t) g(t), which lies between 0 and x: the
+    best point of a 4001-point grid, refined by a bounded scalar search
+    between its neighbours."""
+    if x == 0.0:
+        return 0.0
+    t = np.linspace(min(0.0, x), max(0.0, x), 4001)
+    k = int(np.argmax(log_density(t) - 0.5 * (x - t) ** 2))
+    res = optimize.minimize_scalar(
+        lambda v: 0.5 * (x - v) ** 2 - float(log_density(v)),
+        bounds=(t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]), method="bounded",
+        options={"xatol": 1e-12 * max(1.0, abs(x))},
     )
+    return float(res.x)
+
+
+def _integral(log_density, x: float, upper: float = np.inf, moment: int = 0) -> float:
+    """int_{-inf}^{upper} t^moment phi(x - t) g(t) dt by adaptive quadrature.
+
+    The window reaches WINDOW beyond x and beyond the integrand's peak,
+    which a light slab pulls toward 0; 0, x and the peak are breakpoints.
+    The integrand is scaled by its value at the peak, so the tolerances
+    are relative to it however small psi is.
+    """
+    p = peak(log_density, x)
+    lo, hi = min(x, p) - WINDOW, min(upper, max(x, p) + WINDOW)
+    if hi <= lo:
+        return 0.0
+    shift = float(log_density(p)) - 0.5 * (x - p) ** 2
+    val, _ = integrate.quad(
+        lambda t: t**moment * math.exp(float(log_density(t)) - 0.5 * (x - t) ** 2 - shift),
+        lo, hi, points=sorted({v for v in (0.0, x, p) if lo < v < hi}),
+        limit=400, epsabs=1e-15, epsrel=1e-11,
+    )
+    return val * math.exp(shift - _LOG_ROOT_2PI)
 
 
 def quad_psi(log_density, x: float) -> float:
     """int phi(x - t) g(t) dt by adaptive quadrature."""
-    val, _ = integrate.quad(
-        _kernel(log_density, x),
-        x - WINDOW, x + WINDOW,
-        points=[p for p in (0.0, x) if x - WINDOW < p < x + WINDOW],
-        limit=400, epsabs=1e-15, epsrel=1e-11,
-    )
-    return val
+    return _integral(log_density, x)
 
 
 def quad_psi_partial(log_density, x: float, u: float) -> float:
     """int_{-inf}^{u} phi(x - t) g(t) dt by adaptive quadrature."""
-    lo = min(x, u) - WINDOW
-    hi = min(u, x + WINDOW)
-    if hi <= lo:
-        return 0.0
-    val, _ = integrate.quad(
-        _kernel(log_density, x),
-        lo, hi,
-        points=[p for p in (0.0, x) if lo < p < hi],
-        limit=400, epsabs=1e-15, epsrel=1e-11,
-    )
-    return val
+    return _integral(log_density, x, upper=u)
 
 
 def quad_zeta(log_density, x: float) -> float:
     """int t phi(x - t) g(t) dt by adaptive quadrature."""
-    inner = _kernel(log_density, x)
-    val, _ = integrate.quad(
-        lambda t: t * inner(t),
-        x - WINDOW, x + WINDOW,
-        points=[p for p in (0.0, x) if x - WINDOW < p < x + WINDOW],
-        limit=400, epsabs=1e-15, epsrel=1e-11,
-    )
-    return val
+    return _integral(log_density, x, moment=1)
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,14 @@ def test_contraction_check_grid_validation():
         run_contraction_check(100, [0], 5.0, reps=1)
 
 
-def test_contraction_check_bounded_ratio():
+def test_contraction_check_bounded_ratio(monkeypatch):
+    # the Laplace second moment is a closed form: no panel table is built
+    from spikeslab import slabs
+
+    def no_table(*args):
+        raise AssertionError("panel table built")
+
+    monkeypatch.setattr(slabs.PanelTables, "__init__", no_table)
     report = run_contraction_check(200, [10, 25, 50], 5.0, reps=5, seed=3)
     for p_n, risk, ratio in report.rows:
         assert risk >= 0.0

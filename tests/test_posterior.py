@@ -334,15 +334,24 @@ def _table_fit_and_oracle(slab):
     return fit(x, prior, slab), brute(x, prior, slab)
 
 
-@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(0.5)], ids=str)
+@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(0.5), exp_power_slab(1.5)],
+                         ids=str)
 def test_table_median_inverts_brute_force_cdf(slab):
     # the oracle's cdf is adaptive quadrature at relative tolerance 1e-11 over
-    # x +/- 13, which holds the slab posterior of these heavy slabs (a lighter
-    # one pulls it toward 0: at x = -30 exp-power(1.5) peaks near -22.8)
+    # a window 13 beyond x and beyond the integrand's peak
     post, oracle = _table_fit_and_oracle(slab)
     for i in range(post.x.size):
         if post.median[i] != 0.0:
             assert oracle.marginal_cdf(i, post.median[i]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_brute_force_cdf_holds_a_light_slab_pulled_toward_zero():
+    # at x = -30 the exp-power(1.5) slab posterior peaks near -22.8, so a
+    # window of x +/- 13 alone cuts its upper tail
+    post, oracle = _table_fit_and_oracle(exp_power_slab(1.5))
+    i = int(np.flatnonzero(post.x == -30.0)[0])
+    assert post.median[i] < -20.0
+    assert oracle.marginal_cdf(i, post.median[i]) == pytest.approx(0.5, abs=1e-10)
 
 
 # the oracle's grid median integrates by the trapezoid rule, whose error at the
@@ -507,7 +516,10 @@ def test_eb_weight_single_observation():
 # -- slab tables ----------------------------------------------------------------------
 
 
-def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
+def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
+    # no adaptive quadrature: one stacked table over the distinct
+    # observations, whose panels and halved panels go through one rule
+    # evaluation (they fit one chunk of _RULE_ROWS rows)
     import scipy.integrate
 
     from spikeslab import slabs
@@ -516,18 +528,33 @@ def test_quadrature_fit_builds_one_table_per_distinct_observation(monkeypatch):
         raise AssertionError("adaptive quadrature called")
 
     monkeypatch.setattr(scipy.integrate, "quad", no_quad)
-    built = []
-    init = slabs.SlabCdfTable.__init__
+    built, rows = [], []  # (observations, rows of each rule evaluation) of each table
+    init, rule = slabs.PanelTables.__init__, slabs._panel_rule
 
-    def counting_init(self, prior, x, window=None):
-        built.append(x)
-        init(self, prior, x, window)
+    def counting_init(self, prior, x):
+        rows.clear()
+        init(self, prior, x)
+        built.append((x.tolist(), list(rows)))
 
-    monkeypatch.setattr(slabs.SlabCdfTable, "__init__", counting_init)
-    x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2])
-    post = fit(x, complexity_prior(6, 0.1), student_slab(3.0), quantiles=True)
-    assert sorted(built) == sorted(set(x.tolist()))
-    assert np.all(np.isfinite(post.credible_hi))
+    def counting_rule(prior, x, a, b):
+        rows.append(np.size(a))
+        return rule(prior, x, a, b)
+
+    monkeypatch.setattr(slabs.PanelTables, "__init__", counting_init)
+    monkeypatch.setattr(slabs, "_panel_rule", counting_rule)
+    x = np.array([[0.3, -1.2, 0.3, 0.3, -1.2, -1.2]])
+    layer = SlabLayer(student_slab(3.0), x)
+    panels = int(layer.values._tables.panels.sum())
+    assert built == [(sorted(set(x.ravel().tolist())), [3 * panels])]
+    post = layer.fit(complexity_prior(6, 0.1))[0]
+    assert len(built) == 1 and np.all(np.isfinite(post.credible_hi))
+    # a block whose panels pass _RULE_ROWS takes one evaluation per chunk of
+    # whole observations
+    built.clear()
+    values = slabs.SlabValues(exp_power_slab(0.5), np.linspace(-5.0, 5.0, 40))
+    (_, evaluations), = built
+    assert sum(evaluations) == 3 * values.panels.sum() and len(evaluations) > 1
+    assert max(evaluations) <= slabs._RULE_ROWS
 
 
 @pytest.mark.parametrize(
@@ -542,17 +569,17 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
     from spikeslab import slabs
 
     calls = []
-    table_cdf, values_cdf = slabs.SlabCdfTable.cdf, slabs.SlabValues.cdf
+    table_cdf, values_cdf = slabs.PanelTables.cdf, slabs.SlabValues.cdf
 
-    def counting_table_cdf(self, u):
-        calls.append("SlabCdfTable.cdf")
-        return table_cdf(self, u)
+    def counting_table_cdf(self, j, u):
+        calls.append("PanelTables.cdf")
+        return table_cdf(self, j, u)
 
     def counting_values_cdf(self, k, u):
         calls.append("SlabValues.cdf")
         return values_cdf(self, k, u)
 
-    monkeypatch.setattr(slabs.SlabCdfTable, "cdf", counting_table_cdf)
+    monkeypatch.setattr(slabs.PanelTables, "cdf", counting_table_cdf)
     monkeypatch.setattr(slabs.SlabValues, "cdf", counting_values_cdf)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
     post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
@@ -801,20 +828,20 @@ def test_coordinate_accessors_build_one_table(monkeypatch):
     from spikeslab import posterior, slabs
 
     built = []
-    init = slabs.SlabCdfTable.__init__
+    init = slabs.PanelTables.__init__
 
-    def counting_init(self, prior, x, window=None):
-        built.append(x)
-        init(self, prior, x, window)
+    def counting_init(self, prior, x):
+        built.append(x.tolist())
+        init(self, prior, x)
 
     post = fit(_SIGNED_X, complexity_prior(_SIGNED_X.size, 0.1), exp_power_slab(0.5))
     posterior._coordinate_values.cache_clear()
-    monkeypatch.setattr(slabs.SlabCdfTable, "__init__", counting_init)
+    monkeypatch.setattr(slabs.PanelTables, "__init__", counting_init)
     v = post.marginal_quantile(8, 0.3)
     for u in (v - 1e-6, v + 1e-6, 0.0, 1.0, -1.0, 5.0):
         post.marginal_cdf(8, u)
     assert post.coordinatewise_median(8) == post.median[8]
-    assert built == [_SIGNED_X[8]]
+    assert built == [[_SIGNED_X[8]]]
     assert posterior._coordinate_values.cache_info().maxsize <= 64
 
 

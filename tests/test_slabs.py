@@ -21,9 +21,9 @@ from spikeslab import (
 )
 
 from spikeslab import slabs
-from spikeslab.slabs import SlabCdfTable, SlabValues, log_phi, table_quantiles
+from spikeslab.slabs import _QUAD_TOL, SlabValues, log_phi
 
-from _oracle import make_log_density, quad_psi, quad_psi_partial, quad_zeta
+from _oracle import make_log_density, peak, quad_psi, quad_psi_partial, quad_zeta
 
 ALL_SLABS = [
     laplace_slab(),
@@ -35,6 +35,10 @@ ALL_SLABS = [
     exp_power_slab(1.5),
     exp_power_slab(0.8, scale=0.9),
 ]
+
+
+TAIL_GRID = np.array([0.0, 1e-3, 1.3, 30.0, 1e3, 1e4])
+TAIL_GRID = np.concatenate([TAIL_GRID, -TAIL_GRID[1:]])
 
 
 def _oracle_density(prior: SlabPrior):
@@ -274,6 +278,25 @@ def test_second_moment_ratio_against_quadrature():
             assert second_moment_ratio(prior, x) == pytest.approx(expected, rel=1e-7)
 
 
+@pytest.mark.parametrize("rate", [1e-3, 1.0, 1e3])
+def test_laplace_second_moment_matches_high_precision(rate):
+    # the two pieces N(x -/+ a, 1), truncated at 0, in 60-digit arithmetic;
+    # at rate 1e3 the weight H(0) carries the rounding of log-Phi terms of
+    # size (x + a)^2 / 2 (1e-12 relative at x = 30)
+    mp = pytest.importorskip("mpmath")
+    expected = []
+    with mp.workdps(60):
+        a = mp.mpf(rate)
+        for x in TAIL_GRID:
+            x = mp.mpf(x)
+            hi, lo = x - a, x + a
+            mass = mp.exp(-a * x) * mp.ncdf(hi) + mp.exp(a * x) * mp.ncdf(-lo)
+            second = (mp.exp(-a * x) * ((1 + hi**2) * mp.ncdf(hi) + hi * mp.npdf(hi))
+                      + mp.exp(a * x) * ((1 + lo**2) * mp.ncdf(-lo) - lo * mp.npdf(lo)))
+            expected.append(float(second / mass))
+    assert second_moment_ratio(laplace_slab(rate), TAIL_GRID) == pytest.approx(expected, rel=1e-11)
+
+
 @pytest.mark.parametrize("x", [-40.0, 3.0, 40.0, 1e3])
 def test_exp_power_two_matches_gaussian_closed_form(x):
     # exp(-(t/s)^2) is a Gaussian slab with std s / sqrt(2); at |x| >= 40 the
@@ -297,6 +320,69 @@ def test_heavy_slab_far_tails_match_quadrature_oracle(prior):
             math.log(quad_psi(density, x)), rel=1e-8
         )
         assert 0.0 < posterior_shrinkage(prior, x) < x
+
+
+def _mp_log_psi_and_shrinkage(prior: SlabPrior, x: float):
+    """log psi(x) and zeta(x) / psi(x) by 60-digit tanh-sinh quadrature,
+    split at 0, x and the integrand's peak."""
+    mp = pytest.importorskip("mpmath")
+    top = peak(_oracle_density(prior), x)
+    with mp.workdps(60):
+        xm, s, shape = mp.mpf(x), mp.mpf(prior.scale), mp.mpf(prior.shape)
+        if prior.family is SlabFamily.STUDENT:
+            c = (mp.loggamma((shape + 1) / 2) - mp.loggamma(shape / 2)
+                 - mp.log(shape * mp.pi) / 2 - mp.log(s))
+
+            def log_density(t):
+                return c - (shape + 1) / 2 * mp.log1p((t / s) ** 2 / shape)
+        else:
+            c = -mp.log(2) - mp.loggamma(1 + 1 / shape) - mp.log(s)
+
+            def log_density(t):
+                return c - abs(t / s) ** shape
+
+        def log_f(t):
+            return log_density(t) - (xm - t) ** 2 / 2
+
+        top_log_f = log_f(mp.mpf(top))
+        # the normal factor is below e^-800 beyond 40 of x and of the peak
+        ends = sorted({min(0.0, x, top) - 40.0, 0.0, top, x, max(0.0, x, top) + 40.0})
+        # psi and zeta, scaled by exp(-top_log_f), as one complex integral
+        z = mp.quad(lambda t: mp.exp(log_f(t) - top_log_f) * mp.mpc(1, t),
+                    [mp.mpf(v) for v in ends])
+        return (float(top_log_f + mp.log(z.real) - mp.log(2 * mp.pi) / 2),
+                float(z.imag / z.real))
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [student_slab(3.0, s) for s in (1e-3, 1.0, 1e3)]
+    + [exp_power_slab(a, s) for a in (0.5, 1.5) for s in (1e-3, 1.0, 1e3)],
+    ids=str,
+)
+def test_panel_tables_match_high_precision_on_the_tail_grid(prior):
+    # independent of the mesh: a Student slab is graded toward 0 only down
+    # to s sqrt(nu); psi is even and zeta / psi odd in x
+    values = SlabValues(prior, TAIL_GRID)
+    refs = {x: _mp_log_psi_and_shrinkage(prior, x) for x in TAIL_GRID[TAIL_GRID >= 0].tolist()}
+    for k, x in enumerate(TAIL_GRID):
+        log_psi_ref, shrinkage_ref = refs[abs(x)]
+        assert values.log_psi[k] == pytest.approx(log_psi_ref, rel=1e-9), x
+        assert values.shrinkage[k] == pytest.approx(math.copysign(shrinkage_ref, x),
+                                                    rel=1e-9, abs=1e-15), x
+
+
+def test_tables_report_their_error_and_panel_counts():
+    values = SlabValues(student_slab(3.0), TAIL_GRID)
+    assert 0.0 <= values.quadrature_error <= 10.0 * _QUAD_TOL
+    assert values.panels.shape == TAIL_GRID.shape
+    # windows that hold 0: the smooth Student slab takes no knots finer than
+    # s sqrt(nu) toward 0, the kink of exp-power(0.5) all 43 levels
+    x = np.array([0.0, 1.3, -4.0])
+    assert np.all(SlabValues(student_slab(3.0), x).panels < 100)
+    assert np.all(SlabValues(exp_power_slab(0.5), x).panels >= 150)
+    closed = SlabValues(laplace_slab(), x)
+    assert closed.quadrature_error == 0.0 and not closed.panels.any()
 
 
 # -- quadrature failure surfacing -------------------------------------------------
@@ -339,28 +425,25 @@ LEVELS = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
 @pytest.mark.parametrize("x", [0.0, 1.3, -4.0, 1e2, -1e3, 1e4])
 @pytest.mark.parametrize("prior", TABLE_SLABS, ids=str)
 def test_table_quantile_inverts_cdf(prior, x):
-    table = SlabCdfTable(prior, x)
-    for tau, u in zip(LEVELS, table_quantiles([table] * LEVELS.size, LEVELS)):
-        assert table.cdf(u) == pytest.approx(tau, rel=1e-11, abs=1e-16)
-    assert table.cdf_at_zero == pytest.approx(table.cdf(0.0), abs=1e-15)
+    values = SlabValues(prior, np.array([x]))
+    for tau, u in zip(LEVELS, values.quantile(np.zeros(LEVELS.size, dtype=int), LEVELS)):
+        assert values.cdf(0, u) == pytest.approx(tau, rel=1e-11, abs=1e-16)
+    assert values.cdf_at_zero[0] == pytest.approx(values.cdf(0, 0.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("prior", TABLE_SLABS, ids=str)
 def test_table_quantiles_batch_matches_single_tables(prior):
-    # one batched inversion over tables of different meshes gives each
-    # table's own answer
-    tables = [SlabCdfTable(prior, x) for x in (0.0, 1.3, -4.0, 1e2, -1e3, 1.3)]
+    # one batched inversion over entries of different meshes gives each
+    # entry's own answer
+    x = np.array([0.0, 1.3, -4.0, 1e2, -1e3, 1.3])
     tau = np.array([0.5, 1e-6, 0.975, 0.025, 1.0 - 1e-6, 0.3])
-    batch = table_quantiles(tables, tau)
-    assert batch.tolist() == [table_quantiles([t], np.array([s]))[0]
-                              for t, s in zip(tables, tau)]
+    batch = SlabValues(prior, x).quantile(np.arange(x.size), tau)
+    alone = [SlabValues(prior, np.array([v])).quantile(np.array([0]), np.array([s]))[0]
+             for v, s in zip(x, tau)]
+    assert batch.tolist() == alone
 
 
 # -- one peak search for every table of a SlabValues ---------------------------------
-
-TAIL_GRID = np.array([0.0, 1e-3, 1.3, 30.0, 1e3, 1e4])
-TAIL_GRID = np.concatenate([TAIL_GRID, -TAIL_GRID[1:]])
-
 
 @pytest.mark.parametrize(
     "prior",
@@ -370,20 +453,22 @@ TAIL_GRID = np.concatenate([TAIL_GRID, -TAIL_GRID[1:]])
     ids=str,
 )
 def test_table_layer_is_batch_invariant(prior):
-    # one zoom finds the windows of all the tables of a SlabValues; each
-    # table, and every value read from it, is the one its entry builds
-    # alone, bit for bit (a Laplace slab builds tables for its second
-    # moment only)
+    # one stacked table holds every distinct entry of a SlabValues; each
+    # entry's mesh, and every value read from it, is the one the entry
+    # builds alone, bit for bit (a Laplace slab builds no table)
     values = SlabValues(prior, TAIL_GRID)
-    tables = slabs.slab_tables(prior, TAIL_GRID)
+    tau = np.array([1e-6, 0.3, 1.0 - 1e-6])
     for k, x in enumerate(TAIL_GRID):
-        alone = SlabCdfTable(prior, x)
-        assert np.array_equal(tables[k].mesh, alone.mesh), x
-        for attr in ("log_psi", "mean", "second_moment", "cdf_at_zero"):
-            assert getattr(tables[k], attr) == getattr(alone, attr), (attr, x)
         one = SlabValues(prior, TAIL_GRID[[k]])
-        for name in ("log_psi", "shrinkage", "second_moment", "cdf_at_zero"):
+        if one._tables is not None:
+            tables, j = values._tables, values._entry[k]
+            mesh = tables.mesh[tables.start[j]:tables.start[j + 1]]
+            assert np.array_equal(mesh, one._tables.mesh), x
+        for name in ("log_psi", "shrinkage", "second_moment", "cdf_at_zero", "panels"):
             assert getattr(values, name)[k] == getattr(one, name)[0], (name, x)
+        assert (values.quantile(np.full(3, k), tau).tolist()
+                == one.quantile(np.zeros(3, int), tau).tolist())
+        assert values.cdf(k, x + 0.5) == one.cdf(0, x + 0.5), x
 
 
 @pytest.mark.parametrize("prior", TABLE_SLABS + [exp_power_slab(1.5, 1e-3)], ids=str)
@@ -391,12 +476,11 @@ def test_window_peak_is_the_integrand_maximum(prior):
     # the zoomed peak is within the search's resolution of the maximum of
     # log phi(x - t) + log g(t) on a dense grid between 0 and x
     x = np.array([0.0, 1.3, -4.0, 30.0, -1e3])
-    for v, (lo, hi, points) in zip(x, slabs._windows(prior, x)):
-        peak = points[0]
+    for v, lo, hi, top in zip(x, *slabs._windows(prior, x)):
         t = np.linspace(min(v, 0.0), max(v, 0.0), 200_001)
         dense = t[np.argmax(log_phi(v - t) + log_g(prior, t))]
-        assert abs(peak - dense) <= 1e-4 * max(1.0, abs(v)), v
-        assert lo == min(v, peak) - 13.0 and hi == max(v, peak) + 13.0
+        assert abs(top - dense) <= 1e-4 * max(1.0, abs(v)), v
+        assert lo == min(v, top) - 13.0 and hi == max(v, top) + 13.0
 
 
 # -- the slab functions of a block ---------------------------------------------------
@@ -415,21 +499,15 @@ def test_slab_values_of_a_block_equal_the_entrywise_functions(prior):
         assert block.shape == BLOCK.shape
         assert block.tolist() == [[attr(prior, x) for x in row] for row in BLOCK], name
     assert zeta(prior, BLOCK).tolist() == (values.shrinkage * np.exp(values.log_psi)).tolist()
-    if prior.family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
-        tables = [SlabCdfTable(prior, x) for x in BLOCK.ravel()]
-        for name, attr in (("log_psi", "log_psi"), ("shrinkage", "mean"),
-                           ("second_moment", "second_moment"), ("cdf_at_zero", "cdf_at_zero")):
-            assert getattr(values, name).ravel().tolist() == [getattr(t, attr) for t in tables]
-        tau = np.linspace(0.1, 0.9, BLOCK.size)
-        k = np.arange(BLOCK.size)
-        assert values.quantile(k, tau).tolist() == table_quantiles(tables, tau).tolist()
-        assert [values.cdf(j, 0.5) for j in k] == [t.cdf(0.5) for t in tables]
-    else:
-        # H(0) is the cdf at 0, bit for bit, and H(u) of an entry is that of
-        # the entry alone
-        for j, x in enumerate(BLOCK.ravel()):
+    # H(u) and its inverse of an entry are those of the entry alone
+    tau = np.linspace(0.1, 0.9, BLOCK.size)
+    for j, x in enumerate(BLOCK.ravel()):
+        alone = SlabValues(prior, x)
+        assert values.cdf(j, x - 0.5) == alone.cdf(0, x - 0.5)
+        assert values.quantile(np.array([j]), tau[[j]]) == alone.quantile(np.array([0]), tau[[j]])
+        if prior.family in (SlabFamily.LAPLACE, SlabFamily.GAUSSIAN):
+            # H(0) is the closed-form cdf at 0, bit for bit
             assert values.cdf(j, 0.0) == values.cdf_at_zero.flat[j]
-            assert values.cdf(j, x - 0.5) == SlabValues(prior, x).cdf(0, x - 0.5)
 
 
 @pytest.mark.parametrize("prior", VALUE_SLABS, ids=str)
