@@ -21,9 +21,18 @@ from .posterior import fit
 from .slabs import SlabFamily, SlabPrior
 
 
+# each --prior: its constructor and the flags it reads after n, in order
+_DIM_PRIORS = {
+    "complexity": (complexity_prior, ("kappa", "b")),
+    "betabin": (betabin_power_prior, ("kappa",)),
+    "binomial": (binomial_prior, ("alpha",)),
+    "poisson": (poisson_prior, ("alpha",)),
+    "geometric": (geometric_prior, ("alpha",)),
+}
+
+
 def _add_prior_flags(p: argparse.ArgumentParser):
-    p.add_argument("--prior", default="complexity",
-                   choices=["complexity", "betabin", "binomial", "poisson", "geometric"])
+    p.add_argument("--prior", default="complexity", choices=list(_DIM_PRIORS))
     p.add_argument("--kappa", type=float, default=0.1)
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--alpha", type=float, default=0.05,
@@ -36,18 +45,6 @@ def _add_slab_flags(p: argparse.ArgumentParser):
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--df", type=float, default=3.0,
                    help="Student degrees of freedom or exponential-power exponent")
-
-
-def build_dim_prior(args, n: int):
-    if args.prior == "complexity":
-        return complexity_prior(n, args.kappa, args.b)
-    if args.prior == "betabin":
-        return betabin_power_prior(n, args.kappa)
-    if args.prior == "binomial":
-        return binomial_prior(n, args.alpha)
-    if args.prior == "poisson":
-        return poisson_prior(n, args.alpha)
-    return geometric_prior(n, args.alpha)
 
 
 def _has_shape(args) -> bool:
@@ -63,12 +60,6 @@ def _slab_flags(args) -> str:
     """The slab flags build_slab reads, with their values."""
     shape = f" --df {args.df:g}" if _has_shape(args) else ""
     return f"--slab {args.slab} --scale {args.scale:g}{shape}"
-
-
-def _prior_flags(args) -> str:
-    """The prior flags build_dim_prior reads, with their values."""
-    names = {"complexity": ("kappa", "b"), "betabin": ("kappa",)}.get(args.prior, ("alpha",))
-    return " ".join([f"--prior {args.prior}"] + [f"--{k} {getattr(args, k):g}" for k in names])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -171,7 +162,9 @@ def main(argv=None) -> int:
     slab = usage(lambda: build_slab(args), _slab_flags(args)) if hasattr(args, "slab") else None
 
     def dim_prior(n: int):
-        return usage(lambda: build_dim_prior(args, n), _prior_flags(args))
+        build, names = _DIM_PRIORS[args.prior]
+        flags = " ".join([f"--prior {args.prior}"] + [f"--{k} {getattr(args, k):g}" for k in names])
+        return usage(lambda: build(n, *(getattr(args, k) for k in names)), flags)
 
     def observations():
         return usage(lambda: harness.read_observations(args.data), "data file")

@@ -51,7 +51,6 @@ class ExperimentConfig:
     # worker processes for run_table: the pool maps replications, each one
     # block of every grid cell, and runs only for more than one replication
     threads: int | None = None
-    noise_scale: float = 1.0  # test hook; 0 gives noiseless observations
 
     def __post_init__(self):
         if self.replications < 1:
@@ -109,8 +108,7 @@ class ResultTable:
             json.dump(rows, fh, indent=1)
 
 
-def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=(),
-                  noise_scale: float = 1.0):
+def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=()):
     """Simulate (theta0, x) with unit normal noise from a counter-based
     generator keyed by (seed, stream, replication)."""
     ss = np.random.SeedSequence([int(seed), *map(int, stream_key), int(rep)])
@@ -122,7 +120,7 @@ def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=(),
         else:
             support = rng.choice(spec.n, size=spec.p_n, replace=False)
             theta0[support] = spec.amplitude
-    x = theta0 + noise_scale * rng.standard_normal(spec.n)
+    x = theta0 + rng.standard_normal(spec.n)
     return theta0, x
 
 
@@ -161,7 +159,7 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
     row under the binomial prior at the row's EB weight."""
     grid = _grid(config)
     data = [generate_data(SignalSpec(config.n, p_n, amplitude, config.placement),
-                          config.seed, rep, stream_key=(ci,), noise_scale=config.noise_scale)
+                          config.seed, rep, stream_key=(ci,))
             for ci, (p_n, amplitude) in enumerate(grid)]
     theta0 = np.array([theta for theta, _ in data])
     X = np.array([x for _, x in data])
@@ -243,13 +241,12 @@ def run_table(config: ExperimentConfig) -> ResultTable:
 
     cells = {}
     for ci, (p_n, amp) in enumerate(grid):
-        failed = any(f["p_n"] == p_n and f["A"] == amp for f in failures)
         for (name, q), vals in per_cell[ci].items():
             vals = np.asarray(vals)
             se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
             cells[(name, p_n, amp, float(q))] = CellStats(
                 mean_loss=float(vals.mean()), se=se, reps=vals.size,
-                complete=not failed,
+                complete=not failures,  # a failed replication misses every cell
             )
     return ResultTable(cells=cells, failures=failures, identity_dim_err=dim_err,
                        identity_mean_err=mean_err, config=config)

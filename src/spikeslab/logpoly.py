@@ -3,14 +3,14 @@
 A polynomial is a plain array of log-coefficients, lowest degree first
 (-inf encodes an exact zero), so products of linear factors
 prod_i (1 + r_i Z) stay representable far beyond the linear domain's
-(1e-300, 1e300) window.  Every function takes the factors of one product
-per row of a 2-d log_r, or of a single product as a 1-d log_r, and runs
-each step of its sweep as one array operation over all the rows.  The
-inclusion pass also takes the weights of several priors a row: its stored
-table, the prefix products, depends on the factors alone, so the priors
-share it and only their backward vectors are carried apiece.  All
-operations combine nonnegative terms only; no subtraction ever happens,
-hence no cancellation.
+(1e-300, 1e300) window.  Both functions take the factors of one product
+per row of a 2-d log_r (product_of_linear_factors also a single product as
+a 1-d log_r), and run each step of a sweep as one array operation over all
+the rows.  The inclusion pass also takes the weights of several priors a
+row: its stored table, the prefix products, depends on the factors alone,
+so the priors share it and only their backward vectors are carried apiece.
+All operations combine nonnegative terms only; no subtraction ever
+happens, hence no cancellation.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ def inclusion_log_numerators(log_r, log_w) -> tuple[np.ndarray, np.ndarray]:
     priors for each row; with Z = sum_p w[p] F[p], returns F, (R, n + 1),
     and log_num, (R, P, n), with
     log_num[i] = log sum_{S not containing i} w[|S| + 1] prod_{j in S} r_j,
-    so that q_i = exp(log_r[i] + log_num[i] - log Z).  A log_w of (R, n + 1)
-    is the case P = 1 and gives log_num of (R, n); a 1-d log_r is one row.
-    O(n^2) a row and prior: a forward sweep stores the prefix products
+    so that q_i = exp(log_r[i] + log_num[i] - log Z).  O(n^2) a row and
+    prior: a forward sweep stores the prefix products
     prod_{j < i} (1 + r_j Z), which depend on log_r alone, and ends at F; a
     backward sweep carries G_i[a] = log sum_b s_i[b] w[a + b + 1] of every
     prior, s_i being the coefficients of prod_{j > i} (1 + r_j Z), and
@@ -104,20 +103,14 @@ def inclusion_log_numerators(log_r, log_w) -> tuple[np.ndarray, np.ndarray]:
     tables fit in _PREFIX_TABLE_BYTES.
     """
     log_r = _validated_log_r(log_r)
-    log_w = given = np.asarray(log_w, dtype=float)
-    rows = log_r.ndim == 2  # else one row
-    single = log_w.ndim == log_r.ndim  # one prior
-    log_w = log_w[..., None, :] if single else log_w
-    log_r, log_w = (log_r, log_w) if rows else (log_r[None], log_w[None])
+    log_w = np.asarray(log_w, dtype=float)
     R, n = log_r.shape
     if log_w.ndim != 3 or log_w.shape[::2] != (R, n + 1):
-        raise ValueError(f"log_w of shape {given.shape} does not hold n + 1 = {n + 1} "
+        raise ValueError(f"log_w of shape {log_w.shape} does not hold n + 1 = {n + 1} "
                          f"weights for each of the {R} rows")
     chunk = max(1, _PREFIX_TABLE_BYTES // (4 * n * (n + 3)))
     parts = [_sweep(log_r[k : k + chunk], log_w[k : k + chunk]) for k in range(0, R, chunk)]
-    F, num = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    num = num[:, 0] if single else num
-    return (F, num) if rows else (F[0], num[0])
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _sweep(log_r: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,11 @@ e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones,
 second moment included, all come from one pair of log-Phi arrays.  Student
 and exponential-power slabs come from one stacked panel Gauss-Legendre table
 over the distinct observations (PanelTables): one peak search, zooming a
-grid for every observation at once (_windows), places all their windows,
-one sort lays out all their meshes (_meshes), and one rule evaluation
-covers the panels of many observations at once.  A mesh is graded toward
+grid for every observation at once (_windows), places all their windows and
+gives each observation's scale, its log integrand at the peak; one sort
+lays out all their meshes (_meshes); and every panel, scaled by its
+observation's peak, is then independent, so the rule runs on fixed slices
+of panels whatever observations they cut.  A mesh is graded toward
 the origin only down to the length scale of g there (_graded_knots): to
 1e-13 where g has a kink, not at all for a unit-scale Student slab.
 log_psi, posterior_shrinkage, zeta and second_moment_ratio read a
@@ -158,15 +160,17 @@ _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUAD_TOL = 1e-10  # relative accuracy asked of a table (see PanelTables)
 # rule rows (panels, the halved ones included) of one evaluation: a (rows, 16)
-# array is 60 KB, and a fit's working set stays near 440 KB.  On a 2-core Xeon,
-# 960 rows built the tables about 10% faster but peaked at 640 KB, and one
-# evaluation over all 4000-9000 rows of a fit at n = 20 was about 40% slower
+# array is 60 KB, and an exp-power fit at n = 20 peaks at 520 KB traced.  With
+# the rule run on whole observations, on a 2-core Xeon, 960 rows built the
+# tables about 10% faster but peaked 200 KB higher, and one evaluation over
+# all 4000-9000 rows of a fit at n = 20 was about 40% slower
 _RULE_ROWS = 480
 
 
 def _windows(prior: SlabPrior, x: np.ndarray):
-    """(lo, hi, peak) of each entry of the 1-d array x: the integration
-    window for t -> phi(x - t) g(t) and the integrand's maximum.
+    """(lo, hi, peak, top) of each entry of the 1-d array x: the integration
+    window for t -> phi(x - t) g(t), the integrand's maximum and the log
+    integrand log phi(x - peak) + log g(peak) there.
 
     g is symmetric and nonincreasing in |t|, so the maximum lies between 0
     and x: near x for a heavy slab, pulled toward 0 for a light one, where
@@ -179,17 +183,19 @@ def _windows(prior: SlabPrior, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     a, b = np.minimum(x, 0.0), np.maximum(x, 0.0)
     tol = 64 * _PEAK_STEP * np.maximum(1.0, np.abs(x))
-    peak = np.empty(x.shape)
+    peak, top = np.empty(x.shape), np.empty(x.shape)
     m = np.arange(x.size)  # the entries still zooming
     while m.size:
         grid = np.linspace(a[m], b[m], 65, axis=1)
-        k = np.argmax(log_phi(x[m, None] - grid) + log_g(prior, grid), axis=1)
+        log_f = log_phi(x[m, None] - grid) + log_g(prior, grid)
+        k = np.argmax(log_f, axis=1)
         rows = np.arange(m.size)
-        peak[m] = grid[rows, k]
+        peak[m], top[m] = grid[rows, k], log_f[rows, k]
         done = b[m] - a[m] <= tol[m]
         a[m], b[m] = grid[rows, np.maximum(k - 1, 0)], grid[rows, np.minimum(k + 1, 64)]
         m = m[~done]
-    return np.minimum(x, peak) - _QUAD_HALFWIDTH, np.maximum(x, peak) + _QUAD_HALFWIDTH, peak
+    lo, hi = np.minimum(x, peak) - _QUAD_HALFWIDTH, np.maximum(x, peak) + _QUAD_HALFWIDTH
+    return lo, hi, peak, top
 
 
 def _graded_knots(prior: SlabPrior) -> np.ndarray:
@@ -206,16 +212,15 @@ def _graded_knots(prior: SlabPrior) -> np.ndarray:
     return np.concatenate([-graded, graded])
 
 
-def _meshes(prior: SlabPrior, x: np.ndarray):
+def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
     """(mesh, start): the knots of every entry of the 1-d array x, stacked;
     those of entry j are mesh[start[j]:start[j + 1]].
 
-    The knots of an entry span its window (one peak search, _windows, for
-    all entries): a uniform spacing of at most _QUAD_HALFWIDTH / 32, the
-    kinks at 0 and x, the peak, the peak +/- _QUAD_HALFWIDTH and the graded
-    knots of the slab (_graded_knots).
+    The knots of an entry span its window [lo, hi] (_windows): a uniform
+    spacing of at most _QUAD_HALFWIDTH / 32, the kinks at 0 and x, the
+    peak, the peak +/- _QUAD_HALFWIDTH and the graded knots of the slab
+    (_graded_knots).
     """
-    lo, hi, peak = _windows(prior, x)
     n = x.size
     count = np.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH).astype(int) + 1
     ends = np.cumsum(count)
@@ -255,30 +260,21 @@ def _partial_mass(prior: SlabPrior, x, a, u, shift):
     return (np.exp(log_f - np.reshape(shift, (-1, 1))) * w).sum(axis=1)
 
 
-def _panel_masses(prior: SlabPrior, x, panels, a, b):
-    """(shift, mass, moment, halved) of the entries x, with panels[j] panels
-    each, on the panels [a, b]: each entry's largest log integrand; each
-    panel's integral of exp(-shift) phi(x - t) g(t), and of t times it; and
-    each entry's integral on the halved panels, for the refinement check.
-    One rule evaluation covers the panels and their two halves."""
-    m, seg = a.size, np.cumsum(panels) - panels
+def _panel_masses(prior: SlabPrior, x, shift, a, b):
+    """(mass, moment, halved) of each panel [a, b], with x and shift those
+    of its entry: the integral of exp(-shift) phi(x - t) g(t) on the panel,
+    of t times it, and of it on the two halves of the panel, summed, for the
+    refinement check.  One rule evaluation covers the panels and their
+    halves."""
+    m = a.size
     mid = 0.5 * (a + b)
-    t, log_f, w = _panel_rule(prior, np.tile(np.repeat(x, panels), 3),
-                              np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
-    shift = np.maximum.reduceat(log_f[:m].max(axis=1), seg)
-    log_f -= np.tile(np.repeat(shift, panels), 3)[:, None]
+    t, log_f, w = _panel_rule(prior, np.tile(x, 3), np.concatenate([a, a, mid]),
+                              np.concatenate([b, mid, b]))
+    log_f -= np.tile(shift, 3)[:, None]
     vals = np.exp(log_f, out=log_f)
     vals *= w
     mass = vals.sum(axis=1)
-    halved = np.add.reduceat(mass[m:2 * m], seg) + np.add.reduceat(mass[2 * m:], seg)
-    return shift, mass[:m], (vals[:m] * t[:m]).sum(axis=1), halved
-
-
-def _panel_second_moments(prior: SlabPrior, x, panels, a, b, shift):
-    """Each panel's integral of t^2 exp(-shift) phi(x - t) g(t), for the
-    entries x with panels[j] panels each and their shifts."""
-    t, log_f, w = _panel_rule(prior, np.repeat(x, panels), a, b)
-    return (np.exp(log_f - np.repeat(shift, panels)[:, None]) * w * t * t).sum(axis=1)
+    return mass[:m], (vals[:m] * t[:m]).sum(axis=1), mass[m:2 * m] + mass[2 * m:]
 
 
 class PanelTables:
@@ -287,15 +283,15 @@ class PanelTables:
     entry j are mesh[start[j]:start[j + 1]] and cum[start[j]:start[j + 1]].
 
     The mesh of an entry (_meshes) spans its window; each panel gets the
-    16-point Gauss-Legendre rule.  One rule evaluation covers the panels of
-    many entries and their halved panels, for the refinement check, at once:
-    whole entries, up to _RULE_ROWS rows (_panel_masses).  Every reduction
-    is over one panel's nodes (a row) or one entry's own panels
-    (np.maximum.reduceat, np.add.reduceat, one cumsum per entry), so an
-    entry reads the same, bit for bit, whatever else is stacked with it.
-    The integrand of an entry is scaled by its largest value, exp(shift),
-    so psi and the moments stay finite when psi underflows the linear
-    domain.
+    16-point Gauss-Legendre rule.  The integrand of an entry is scaled by
+    its value at the peak that places the window, exp(shift) (_windows), so
+    psi and the moments stay finite when psi underflows the linear domain,
+    and every panel is then independent of the others.  The rule runs on
+    fixed slices of _RULE_ROWS // 3 panels and their halved panels, for the
+    refinement check (_panel_masses); an entry may straddle two slices.
+    Every reduction is over one panel's nodes (a row) or one entry's own
+    panels (np.add.reduceat, one cumsum per entry), so an entry reads the
+    same, bit for bit, whatever else is stacked with it.
 
     Per entry: log_psi, the slab-conditional mean zeta/psi, the slab cdf
     H(u) = psi(x, u) / psi(x) (cdf) and its value cdf_at_zero at the knot 0,
@@ -310,16 +306,16 @@ class PanelTables:
     def __init__(self, prior: SlabPrior, x: np.ndarray):
         self.prior = prior
         self.x = x
-        self.mesh, self.start = _meshes(prior, x)
+        lo, hi, peak, self.shift = _windows(prior, x)
+        self.mesh, self.start = _meshes(prior, x, lo, hi, peak)
         self.panels = np.diff(self.start) - 1
         first = self.start - np.arange(x.size + 1)  # of each entry's panels
-        self.shift = np.empty(x.size)
-        sums, moments, halved = np.empty(first[-1]), np.empty(first[-1]), np.empty(x.size)
-        a, b = self._panel_ends()
-        # _panel_masses frees a chunk's rule arrays before the next is built
-        for j0, j1, r in self._chunks(3):
-            self.shift[j0:j1], sums[r], moments[r], halved[j0:j1] = _panel_masses(
-                prior, x[j0:j1], self.panels[j0:j1], a[r], b[r])
+        args = self._panel_args()
+        sums, moments, halved = np.empty((3, first[-1]))
+        # _panel_masses frees a slice's rule arrays before the next is built
+        for k in range(0, first[-1], _RULE_ROWS // 3):
+            r = slice(k, k + _RULE_ROWS // 3)
+            sums[r], moments[r], halved[r] = _panel_masses(prior, *(v[r] for v in args))
         self.cum = np.zeros(self.mesh.size)
         for j in range(x.size):
             np.cumsum(sums[first[j]:first[j + 1]],
@@ -327,7 +323,7 @@ class PanelTables:
         self.total = self.cum[self.start[1:] - 1]
         self.log_psi = self.shift + np.log(self.total)
         self.mean = np.add.reduceat(moments, first[:-1]) / self.total
-        self.error = np.abs(halved / self.total - 1.0)
+        self.error = np.abs(np.add.reduceat(halved, first[:-1]) / self.total - 1.0)
         bad = self.error - (10.0 * _QUAD_TOL + np.finfo(float).eps * np.abs(self.shift))
         if np.any(bad > 0.0):
             j = int(np.argmax(bad))
@@ -339,33 +335,24 @@ class PanelTables:
         k = np.add.reduceat(self.mesh <= 0.0, self.start[:-1])
         self.cdf_at_zero = np.where(k > 0, self.cum[self.start[:-1] + k - 1], 0.0) / self.total
 
-    def _panel_ends(self):
-        """(a, b): the ends of every panel, stacked like the knots."""
+    def _panel_args(self):
+        """(x, shift, a, b) of every panel, stacked like the knots: its
+        entry's observation and scale, and its ends."""
         left = np.ones(self.mesh.size, dtype=bool)
         left[self.start[1:] - 1] = False
         k = np.flatnonzero(left)
-        return self.mesh[k], self.mesh[k + 1]
-
-    def _chunks(self, rows_per_panel: int):
-        """(j0, j1, r): runs of whole entries j0 .. j1 - 1 and their panels r,
-        at most _RULE_ROWS rule rows at rows_per_panel rows a panel (or one
-        entry)."""
-        first = self.start - np.arange(self.x.size + 1)
-        j0 = 0
-        while j0 < self.x.size:
-            last = first[j0] + _RULE_ROWS // rows_per_panel
-            j1 = max(int(np.searchsorted(first, last, side="right")) - 1, j0 + 1)
-            yield j0, j1, slice(first[j0], first[j1])
-            j0 = j1
+        return (np.repeat(self.x, self.panels), np.repeat(self.shift, self.panels),
+                self.mesh[k], self.mesh[k + 1])
 
     def second_moment(self) -> np.ndarray:
         """int t^2 phi(x - t) g(t) dt / psi(x) of every entry, from the rule
-        on every panel once more."""
-        a, b = self._panel_ends()
+        on every panel once more, _RULE_ROWS panels a slice."""
+        x, shift, a, b = self._panel_args()
         sums = np.empty(a.size)
-        for j0, j1, r in self._chunks(1):
-            sums[r] = _panel_second_moments(self.prior, self.x[j0:j1], self.panels[j0:j1],
-                                            a[r], b[r], self.shift[j0:j1])
+        for k in range(0, a.size, _RULE_ROWS):
+            r = slice(k, k + _RULE_ROWS)
+            t, log_f, w = _panel_rule(self.prior, x[r], a[r], b[r])
+            sums[r] = (np.exp(log_f - shift[r, None]) * w * t * t).sum(axis=1)
         return np.add.reduceat(sums, self.start[:-1] - np.arange(self.x.size)) / self.total
 
     def cdf(self, j: int, u: float) -> float:

@@ -64,11 +64,6 @@ def test_generate_data_pure_noise():
     assert 0.8 <= np.var(x - theta, ddof=1) <= 1.2
 
 
-def test_generate_data_noise_scale_hook():
-    theta, x = generate_data(SignalSpec(20, 4, 5.0), seed=0, noise_scale=0.0)
-    assert np.array_equal(x, theta)
-
-
 # -- run_table ------------------------------------------------------------------
 
 
@@ -186,11 +181,16 @@ def test_run_table_serialization(tiny_table, tmp_path):
     assert all(r["complete"] for r in jrows)
 
 
-def test_run_table_noiseless_thresholding():
+def test_run_table_noiseless_thresholding(monkeypatch):
     # amplitude above the threshold and no noise: hard thresholding is exact
+    def noiseless(spec, seed, rep=0, stream_key=()):
+        theta0, _ = generate_data(spec, seed, rep, stream_key)
+        return theta0, theta0.copy()
+
+    monkeypatch.setattr(harness, "generate_data", noiseless)
     config = ExperimentConfig(
         n=100, pn_grid=(5,), amplitudes=(5.0,), replications=1,
-        estimators=("HT",), noise_scale=0.0,
+        estimators=("HT",),
     )
     table = run_table(config)
     assert table.cell("HT", 5, 5.0, 2.0).mean_loss == 0.0

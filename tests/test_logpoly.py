@@ -94,8 +94,8 @@ def test_inclusion_pass_product_is_the_schoolbook_product():
     rng = np.random.default_rng(31)
     log_r = rng.normal(scale=4.0, size=300)
     log_r[7] = -np.inf
-    F, _ = inclusion_log_numerators(log_r, rng.normal(size=301))
-    assert np.array_equal(F, product_of_linear_factors(log_r))
+    F, _ = inclusion_log_numerators(log_r[None], rng.normal(size=(1, 1, 301)))
+    assert np.array_equal(F[0], product_of_linear_factors(log_r))
 
 
 def test_inclusion_numerators_match_subset_oracle():
@@ -103,7 +103,8 @@ def test_inclusion_numerators_match_subset_oracle():
     rng = np.random.default_rng(37)
     r = rng.uniform(0.1, 3.0, size=9)
     w = rng.uniform(0.1, 2.0, size=10)
-    _, num = inclusion_log_numerators(np.log(r), np.log(w))
+    _, num = inclusion_log_numerators(np.log(r)[None], np.log(w)[None, None])
+    num = num[0, 0]
     for i in range(9):
         rest = [j for j in range(9) if j != i]
         brute = sum(
@@ -118,8 +119,16 @@ def test_inclusion_numerators_with_zero_weights():
     # w vanishes off p = 2, so num[i] = log sum_{j != i} r_j
     r = np.array([1.0, 2.0, 3.0])
     w = np.array([-np.inf, -np.inf, 0.0, -np.inf])
-    _, num = inclusion_log_numerators(np.log(r), w)
-    assert np.allclose(np.exp(num), [5.0, 4.0, 3.0], rtol=1e-12)
+    _, num = inclusion_log_numerators(np.log(r)[None], w[None, None])
+    assert np.allclose(np.exp(num[0, 0]), [5.0, 4.0, 3.0], rtol=1e-12)
+
+
+def test_inclusion_pass_rejects_misshapen_weights():
+    # one row of weights a prior: (R, P, n + 1), whatever P
+    log_r = np.zeros((2, 3))
+    for shape in [(2, 4), (2, 1, 3), (1, 1, 4)]:
+        with pytest.raises(ValueError, match="does not hold"):
+            inclusion_log_numerators(log_r, np.zeros(shape))
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,11 +182,12 @@ def test_batched_sweeps_equal_row_by_row(n):
     log_r[1, 2] = -np.inf
     log_w = rng.normal(size=(4, n + 1))
     log_w[2, 3:] = -np.inf
+    log_w = log_w[:, None]  # one prior
     F, num = inclusion_log_numerators(log_r, log_w)
     prod = product_of_linear_factors(log_r)
     for r in range(4):
-        F_r, num_r = inclusion_log_numerators(log_r[r], log_w[r])
-        assert np.array_equal(F[r], F_r) and np.array_equal(num[r], num_r)
+        F_r, num_r = inclusion_log_numerators(log_r[r : r + 1], log_w[r : r + 1])
+        assert np.array_equal(F[r], F_r[0]) and np.array_equal(num[r], num_r[0])
         assert np.array_equal(prod[r], product_of_linear_factors(log_r[r]))
     assert np.array_equal(F, prod)
 
@@ -186,7 +196,7 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     rng = np.random.default_rng(47)
     n = 300
     log_r = rng.normal(scale=6.0, size=(5, n))
-    log_w = rng.normal(size=(5, n + 1))
+    log_w = rng.normal(size=(5, n + 1))[:, None]
     whole = inclusion_log_numerators(log_r, log_w)
     # room for the prefix table of two rows: chunks of 2, 2 and 1
     monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 3))
@@ -211,17 +221,17 @@ def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
     log_w[2, 1, 3:] = -np.inf
     log_w[3, P - 1, :] = -np.inf
     log_w[3, P - 1, 2] = 0.0  # all mass on dimension 2
-    alone = [inclusion_log_numerators(log_r, log_w[:, p]) for p in range(P)]
+    alone = [inclusion_log_numerators(log_r, log_w[:, p : p + 1]) for p in range(P)]
     if chunked:  # one row a chunk
         monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 3))
     F, num = inclusion_log_numerators(log_r, log_w)
     assert num.shape == (4, P, n)
     for p, (F_p, num_p) in enumerate(alone):
         assert np.array_equal(F, F_p)
-        assert np.array_equal(num[:, p], num_p)
-    # a 1-d log_r is one row, with one row of weights a prior
-    F_0, num_0 = inclusion_log_numerators(log_r[1], log_w[1])
-    assert np.array_equal(F_0, F[1]) and np.array_equal(num_0, num[1])
+        assert np.array_equal(num[:, p], num_p[:, 0])
+    # one row alone, with its row of weights a prior
+    F_0, num_0 = inclusion_log_numerators(log_r[1:2], log_w[1:2])
+    assert np.array_equal(F_0[0], F[1]) and np.array_equal(num_0[0], num[1])
 
 
 def test_shared_sweep_peak_does_not_grow_with_priors():
@@ -231,7 +241,7 @@ def test_shared_sweep_peak_does_not_grow_with_priors():
     n = 400
     log_r = rng.normal(scale=3.0, size=(3, n))
     log_w = rng.normal(size=(3, 2, n + 1))
-    one = np.ascontiguousarray(log_w[:, 0])
+    one = np.ascontiguousarray(log_w[:, :1])
 
     def peak(w):
         tracemalloc.start()

@@ -519,7 +519,7 @@ def test_eb_weight_single_observation():
 def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
     # no adaptive quadrature: one stacked table over the distinct
     # observations, whose panels and halved panels go through one rule
-    # evaluation (they fit one chunk of _RULE_ROWS rows)
+    # evaluation (they fit one slice of _RULE_ROWS rows)
     import scipy.integrate
 
     from spikeslab import slabs
@@ -548,8 +548,8 @@ def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
     assert built == [(sorted(set(x.ravel().tolist())), [3 * panels])]
     post = layer.fit(complexity_prior(6, 0.1))[0]
     assert len(built) == 1 and np.all(np.isfinite(post.credible_hi))
-    # a block whose panels pass _RULE_ROWS takes one evaluation per chunk of
-    # whole observations
+    # a block whose panels pass _RULE_ROWS takes one evaluation per slice of
+    # at most _RULE_ROWS rows, whatever observations the slice cuts
     built.clear()
     values = slabs.SlabValues(exp_power_slab(0.5), np.linspace(-5.0, 5.0, 40))
     (_, evaluations), = built

@@ -455,8 +455,14 @@ def test_table_quantiles_batch_matches_single_tables(prior):
 def test_table_layer_is_batch_invariant(prior):
     # one stacked table holds every distinct entry of a SlabValues; each
     # entry's mesh, and every value read from it, is the one the entry
-    # builds alone, bit for bit (a Laplace slab builds no table)
+    # builds alone, bit for bit (a Laplace slab builds no table), also where
+    # its panels straddle two slices of the rule
     values = SlabValues(prior, TAIL_GRID)
+    if values._tables is not None:
+        first = values._tables.start[:-1] - np.arange(values._tables.x.size)
+        last = first + values._tables.panels - 1
+        for width in (slabs._RULE_ROWS // 3, slabs._RULE_ROWS):  # masses, second moment
+            assert np.any(first // width != last // width), width
     tau = np.array([1e-6, 0.3, 1.0 - 1e-6])
     for k, x in enumerate(TAIL_GRID):
         one = SlabValues(prior, TAIL_GRID[[k]])
@@ -474,13 +480,16 @@ def test_table_layer_is_batch_invariant(prior):
 @pytest.mark.parametrize("prior", TABLE_SLABS + [exp_power_slab(1.5, 1e-3)], ids=str)
 def test_window_peak_is_the_integrand_maximum(prior):
     # the zoomed peak is within the search's resolution of the maximum of
-    # log phi(x - t) + log g(t) on a dense grid between 0 and x
+    # log phi(x - t) + log g(t) on a dense grid between 0 and x, and top is
+    # the log integrand at the peak, bit for bit
     x = np.array([0.0, 1.3, -4.0, 30.0, -1e3])
-    for v, lo, hi, top in zip(x, *slabs._windows(prior, x)):
+    lo, hi, peak, top = slabs._windows(prior, x)
+    for v, left, right, p in zip(x, lo, hi, peak):
         t = np.linspace(min(v, 0.0), max(v, 0.0), 200_001)
         dense = t[np.argmax(log_phi(v - t) + log_g(prior, t))]
-        assert abs(top - dense) <= 1e-4 * max(1.0, abs(v)), v
-        assert lo == min(v, top) - 13.0 and hi == max(v, top) + 13.0
+        assert abs(p - dense) <= 1e-4 * max(1.0, abs(v)), v
+        assert left == min(v, p) - 13.0 and right == max(v, p) + 13.0
+    assert np.array_equal(top, log_phi(x - peak) + log_g(prior, peak))
 
 
 # -- the slab functions of a block ---------------------------------------------------
