@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     elif args.command == "contract-check":
         rep = harness.run_contraction_check(
             args.n, args.pn, args.amp, args.reps,
-            dim_prior_factory=dim_prior, slab=slab, seed=args.seed,
+            dim_prior=dim_prior(args.n), slab=slab, seed=args.seed,
         )
         for p_n, risk, ratio in rep.rows:
             print(f"p_n={p_n:4d}  avg posterior risk={risk:10.2f}  "

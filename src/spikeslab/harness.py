@@ -267,13 +267,12 @@ class DimensionCheckReport:
 
 def run_dimension_check(n: int, p_n: int, amplitude: float, M_grid, reps: int,
                         dim_prior: DimensionPrior | None = None,
-                        slab: SlabPrior | None = None, seed: int = 0,
-                        placement: str = "tail") -> DimensionCheckReport:
+                        slab: SlabPrior | None = None, seed: int = 0) -> DimensionCheckReport:
     """Average posterior tail mass beyond M * p_n nonzero coordinates."""
     dim_prior = dim_prior if dim_prior is not None else complexity_prior(n, 0.1)
     slab = slab if slab is not None else laplace_slab()
     M_grid = sorted(float(M) for M in M_grid)
-    _, X = _replication_block(SignalSpec(n, p_n, amplitude, placement), seed, reps)
+    _, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps)
     tails = np.zeros(len(M_grid))
     for post in fit_many(X, dim_prior, slab, quantiles=False):
         pmf = np.exp(post.dim_log_pmf)
@@ -293,20 +292,18 @@ class ContractionCheckReport:
 
 
 def run_contraction_check(n: int, pn_grid, amplitude: float, reps: int,
-                          dim_prior_factory=None, slab: SlabPrior | None = None,
-                          seed: int = 0, placement: str = "tail") -> ContractionCheckReport:
+                          dim_prior: DimensionPrior | None = None,
+                          slab: SlabPrior | None = None, seed: int = 0) -> ContractionCheckReport:
     """Average posterior risk  E[ ||theta - theta0||^2 | X ]  against the
     p_n log(n / p_n) recovery-rate scale."""
-    if dim_prior_factory is None:
-        dim_prior_factory = lambda m: complexity_prior(m, 0.1)
+    dim_prior = dim_prior if dim_prior is not None else complexity_prior(n, 0.1)
     slab = slab if slab is not None else laplace_slab()
-    dim_prior = dim_prior_factory(n)
     rows = []
     for p_n in pn_grid:
         if not 0 < p_n < n / 2:
             raise ValueError("contraction grid requires 0 < p_n < n/2")
-        theta0, X = _replication_block(SignalSpec(n, p_n, amplitude, placement), seed,
-                                       reps, stream_key=(p_n,))
+        theta0, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps,
+                                       stream_key=(p_n,))
         layer = SlabLayer(slab, X)
         risks = []
         for post, t0, m2 in zip(layer.fit(dim_prior, quantiles=False), theta0,
@@ -325,7 +322,7 @@ class ShrinkageDemoReport:
 
 
 def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
-                       kappa: float = 1.0, placement: str = "tail") -> ShrinkageDemoReport:
+                       kappa: float = 1.0) -> ShrinkageDemoReport:
     """Paired mean-square risk of the posterior mean under a Laplace slab
     versus a standard Gaussian slab, across signal strengths."""
     A_grid = list(A_grid)
@@ -336,8 +333,7 @@ def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
     loss2 = est.LossSpec(2.0)
     rows = []
     for ai, A in enumerate(A_grid):
-        theta0, X = _replication_block(SignalSpec(n, p_n, A, placement), seed, reps,
-                                       stream_key=(ai,))
+        theta0, X = _replication_block(SignalSpec(n, p_n, A), seed, reps, stream_key=(ai,))
         risk = [0.0, 0.0]
         for k, slab in enumerate(slabs):
             for post, t0 in zip(fit_many(X, dim_prior, slab, quantiles=False), theta0):
@@ -377,7 +373,10 @@ def read_observations(path) -> np.ndarray:
 def emit_interval_data(x, dim_prior: DimensionPrior, slab: SlabPrior, out_path,
                        levels=(0.025, 0.975), fmt: str = "csv") -> Posterior:
     """Fit the posterior and write one record per coordinate:
-    index, x, median, lo, hi, inclusion_prob."""
+    index, x, median, lo, hi, inclusion_prob.  The format is checked before
+    the fit."""
+    if fmt not in ("csv", "json"):
+        raise ValueError("format must be 'csv' or 'json'")
     post = fit(x, dim_prior, slab, levels=levels)
     records = [
         {"index": i, "x": float(post.x[i]), "median": float(post.median[i]),
@@ -390,9 +389,7 @@ def emit_interval_data(x, dim_prior: DimensionPrior, slab: SlabPrior, out_path,
             w = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
             w.writeheader()
             w.writerows(records)
-    elif fmt == "json":
+    else:
         with open(out_path, "w") as fh:
             json.dump(records, fh, indent=1)
-    else:
-        raise ValueError("format must be 'csv' or 'json'")
     return post

@@ -146,6 +146,8 @@ class Posterior:
         values (for the Student and exponential-power slabs, its table) are
         built once and cached for the calls that follow."""
         self._check_index(i)
+        if np.isnan(u):
+            raise ValueError("u must not be NaN")
         if np.isinf(u):
             return 0.0 if u < 0 else 1.0
         q = self.inclusion_prob[i]
@@ -234,11 +236,13 @@ class SlabLayer:
                  quantiles: bool = True) -> list[list[Posterior]]:
         """The exact posterior of every row under each of a list of prior
         sets, one list of posteriors per set; a set is one DimensionPrior for
-        all rows or a sequence of one per row.  The rows under a binomial
-        prior take the product of the factors alone; all the others, of
-        every set, share one batched forward-backward pass for
-        q_i = d log Z / d log r_i.  levels are the two levels lo < hi in
-        (0, 1) of the credible bounds."""
+        all rows or a sequence of one per row.  Every set that holds a
+        non-binomial prior is swept over all the rows of the block, and the
+        swept sets share one batched forward-backward pass for
+        q_i = d log Z / d log r_i; a call whose sets are all binomial takes
+        the product of the factors alone.  Binomial rows take their q in
+        closed form.  levels are the two levels lo < hi in (0, 1) of the
+        credible bounds."""
         levels = tuple(levels)
         if not (len(levels) == 2 and 0.0 < levels[0] < levels[1] < 1.0):
             raise ValueError(f"credible levels must be two levels 0 < lo < hi < 1, got {levels}")
@@ -246,31 +250,28 @@ class SlabLayer:
             return []
         sets, lam = zip(*(self._row_priors(priors) for priors in prior_sets))
         lam = np.array(lam)  # (sets, R, n + 1)
-        coupled = np.array([[p.family is not DimensionFamily.BINOMIAL for p in priors]
-                            for priors in sets])
-        # one sweep over the rows and sets that hold a coupled prior
-        rows, swept = coupled.any(axis=0), coupled.any(axis=1)
+        binomial = np.array([[p.family is DimensionFamily.BINOMIAL for p in priors]
+                             for priors in sets])
+        swept = ~binomial.all(axis=1)
         log_r = self.log_r
-        F = np.empty(lam.shape[1:])  # the product of the factors of each row
-        if rows.any():
-            F[rows], log_num = inclusion_log_numerators(
-                log_r[rows], lam[swept][:, rows].transpose(1, 0, 2))
-        if not rows.all():
-            F[~rows] = product_of_linear_factors(log_r[~rows])
+        if swept.any():
+            F, log_num = inclusion_log_numerators(log_r, lam[swept].transpose(1, 0, 2))
+        else:
+            F = product_of_linear_factors(log_r)
 
         log_partition = logsumexp(lam + F, axis=2)
         dim_log_pmf = lam + F - log_partition[:, :, None]
         log_q = np.empty(lam.shape[:2] + log_r.shape[1:])
-        for k, (priors, c) in enumerate(zip(sets, coupled)):
-            if not c.all():
-                # binomial dimension prior makes the coordinates independent:
-                # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
-                alpha = np.array([p.params[0] for p, is_c in zip(priors, c) if not is_c])[:, None]
-                la, l1a, lr = np.log(alpha), np.log1p(-alpha), log_r[~c]
-                log_q[k, ~c] = la + lr - np.logaddexp(l1a, la + lr)
-            if c.any():
-                num = log_num[:, np.count_nonzero(swept[:k])][c[rows]]
-                log_q[k, c] = np.minimum(log_r[c] + num - log_partition[k, c, None], 0.0)
+        if swept.any():
+            log_q[swept] = np.minimum(log_r + np.moveaxis(log_num, 1, 0)
+                                      - log_partition[swept, :, None], 0.0)
+        # binomial dimension prior makes the coordinates independent:
+        # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
+        alpha = np.array([p.params[0] for priors, b in zip(sets, binomial)
+                          for p, is_b in zip(priors, b) if is_b])[:, None]
+        la, l1a = np.log(alpha), np.log1p(-alpha)
+        lr = np.broadcast_to(log_r, log_q.shape)[binomial]
+        log_q[binomial] = la + lr - np.logaddexp(l1a, la + lr)
         q = np.exp(log_q)
         mean = q * self.values.shrinkage
 

@@ -397,13 +397,16 @@ def test_emit_interval_data_csv(tmp_path):
     assert float(rows[3]["median"]) == pytest.approx(post.median[3], abs=1e-12)
 
 
-def test_emit_interval_data_json_and_bad_format(tmp_path):
+def test_emit_interval_data_json_and_bad_format(tmp_path, monkeypatch):
     x = np.array([0.5, 4.0])
     out = tmp_path / "intervals.json"
     emit_interval_data(x, betabin_power_prior(2, 0.1), laplace_slab(), out, fmt="json")
     with open(out) as fh:
         rows = json.load(fh)
     assert len(rows) == 2
+    # a bad format is refused before any fit
+    monkeypatch.setattr(harness, "fit", None)
     with pytest.raises(ValueError, match="format"):
         emit_interval_data(x, betabin_power_prior(2, 0.1), laplace_slab(),
                            tmp_path / "nope.xml", fmt="xml")
+    assert not (tmp_path / "nope.xml").exists()

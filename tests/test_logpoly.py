@@ -153,10 +153,10 @@ def _ulps(a, b):
     return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
 
 
-@pytest.mark.parametrize("width", [3, logpoly._LOGADDEXP_MIN_WIDTH])
-def test_logaddexp_branches_match_numpy(width):
-    # the narrow branch is np.logaddexp; the composite one must agree with it
-    # to a few ulp, including at -inf and at equal arguments
+@pytest.mark.parametrize("width", [1, 3, 128])
+def test_logaddexp_matches_numpy(width):
+    # the composite form must agree with np.logaddexp to a few ulp at any row
+    # width, including at -inf and at equal arguments
     rng = np.random.default_rng(41)
     a = rng.normal(scale=50.0, size=(40, width))
     b = a + rng.normal(scale=5.0, size=a.shape)
@@ -175,8 +175,8 @@ def test_logaddexp_branches_match_numpy(width):
 
 @pytest.mark.parametrize("n", [5, 300])
 def test_batched_sweeps_equal_row_by_row(n):
-    # each row of a batch gets the answer it gets alone, bit for bit: the
-    # kernel is chosen by the width of a row, not by the number of rows
+    # each row of a batch gets the answer it gets alone, bit for bit, and the
+    # sweep's product is the product's
     rng = np.random.default_rng(43)
     log_r = rng.normal(scale=6.0, size=(4, n))
     log_r[1, 2] = -np.inf
@@ -199,9 +199,23 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     log_w = rng.normal(size=(5, n + 1))[:, None]
     whole = inclusion_log_numerators(log_r, log_w)
     # room for the prefix table of two rows: chunks of 2, 2 and 1
-    monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 3))
+    monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 1))
     chunked = inclusion_log_numerators(log_r, log_w)
     for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
+def test_sweep_is_independent_of_the_weights_layout():
+    # a transposed view of the weights, as fit_each passes them, gives the
+    # bits of a C-contiguous copy
+    rng = np.random.default_rng(53)
+    n = 200
+    log_r = rng.normal(scale=6.0, size=(5, n))
+    by_prior = rng.normal(size=(2, 5, n + 1))
+    view = by_prior.transpose(1, 0, 2)
+    assert not view.flags.c_contiguous
+    for a, b in zip(inclusion_log_numerators(log_r, view),
+                    inclusion_log_numerators(log_r, np.ascontiguousarray(view))):
         assert np.array_equal(a, b)
 
 
@@ -223,7 +237,7 @@ def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
     log_w[3, P - 1, 2] = 0.0  # all mass on dimension 2
     alone = [inclusion_log_numerators(log_r, log_w[:, p : p + 1]) for p in range(P)]
     if chunked:  # one row a chunk
-        monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 3))
+        monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 1))
     F, num = inclusion_log_numerators(log_r, log_w)
     assert num.shape == (4, P, n)
     for p, (F_p, num_p) in enumerate(alone):

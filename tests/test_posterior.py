@@ -27,6 +27,10 @@ from spikeslab.slabs import SlabFamily
 from _oracle import BruteForcePosterior, make_log_density
 
 
+_EVERY_SLAB = [laplace_slab(), laplace_slab(50.0), gaussian_slab(), student_slab(3.0),
+               exp_power_slab(0.5), exp_power_slab(1.5)]
+
+
 def brute(x, dim_prior, slab):
     density = make_log_density(slab.family.value, slab.scale, slab.shape)
     return BruteForcePosterior(x, dim_prior.log_pmf, density)
@@ -233,6 +237,15 @@ def test_cdf_limits_and_monotonicity(small_fit):
     u = np.linspace(-10, 10, 81)
     vals = [small_fit.marginal_cdf(3, float(v)) for v in u]
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+@pytest.mark.parametrize("slab", _EVERY_SLAB, ids=str)
+def test_cdf_rejects_nan(slab):
+    post = fit(np.array([-1.5, 0.3, 2.8]), complexity_prior(3, 0.3), slab)
+    with pytest.raises(ValueError, match="u must not be NaN"):
+        post.marginal_cdf(1, np.nan)
+    assert post.marginal_cdf(1, -np.inf) == 0.0
+    assert post.marginal_cdf(1, np.inf) == 1.0
 
 
 def test_cdf_jump_at_zero(small_fit):
@@ -741,10 +754,29 @@ def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
     assert calls == [(3, 12)]
 
 
-# -- one quantile pass per fit ---------------------------------------------------------
+def test_fit_each_sweeps_each_coupled_set_over_every_row(monkeypatch):
+    # a set that holds a coupled prior is swept over all the rows, even those
+    # whose prior is binomial; an all-binomial set joins no sweep, and the
+    # sweep's product serves it
+    from spikeslab import posterior
 
-_EVERY_SLAB = [laplace_slab(), laplace_slab(50.0), gaussian_slab(), student_slab(3.0),
-               exp_power_slab(0.5), exp_power_slab(1.5)]
+    calls = []
+    sweep = posterior.inclusion_log_numerators
+
+    def spy_sweep(log_r, log_w):
+        calls.append((np.shape(log_r), np.shape(log_w)))
+        return sweep(log_r, log_w)
+
+    monkeypatch.setattr(posterior, "inclusion_log_numerators", spy_sweep)
+    monkeypatch.setattr(posterior, "product_of_linear_factors", None)
+    X = np.random.default_rng(83).normal(scale=2.0, size=(3, 12))
+    layer = SlabLayer(laplace_slab(), X)
+    coupled = [complexity_prior(12, 0.3), binomial_prior(12, 0.2), poisson_prior(12, 1.0)]
+    layer.fit_each([coupled, binomial_prior(12, 0.4)], quantiles=False)
+    assert calls == [((3, 12), (3, 1, 13))]
+
+
+# -- one quantile pass per fit ---------------------------------------------------------
 
 
 def _two_sided_quantiles(values, q, levels):
