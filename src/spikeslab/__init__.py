@@ -24,7 +24,6 @@ from .harness import (
     run_shrinkage_demo,
     run_table,
 )
-from .logpoly import product_of_linear_factors
 from .posterior import (
     Posterior,
     SlabLayer,

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
+
+from .logpoly import _logsumexp
 
 
 class DimensionFamily(str, Enum):
@@ -39,7 +41,7 @@ class DimensionPrior:
             raise ValueError(f"log_pmf must have length n + 1 = {self.n + 1}")
         if np.any(np.isnan(lp)) or np.any(lp == np.inf):
             raise ValueError("log_pmf entries must be finite or -inf")
-        total = logsumexp(lp)
+        total = _logsumexp(lp)
         if abs(total) > 1e-10:
             raise ValueError(f"log_pmf is not normalized (log-sum-exp = {total:.3e})")
 
@@ -52,7 +54,7 @@ class DimensionPrior:
 
 def _normalized(n: int, log_weights: np.ndarray, family: DimensionFamily, params: tuple) -> DimensionPrior:
     log_weights = np.asarray(log_weights, dtype=float)
-    return DimensionPrior(n, log_weights - logsumexp(log_weights), family, params)
+    return DimensionPrior(n, log_weights - _logsumexp(log_weights), family, params)
 
 
 def complexity_prior(n: int, kappa: float, b: float = 3.0) -> DimensionPrior:

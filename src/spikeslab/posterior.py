@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import log_expit
 
 from .dimension import DimensionFamily, DimensionPrior
-from .logpoly import inclusion_log_numerators, product_of_linear_factors
+from .logpoly import _forward, _logsumexp, inclusion_log_numerators
 from .slabs import SlabPrior, SlabValues, log_phi
 
 DEFAULT_LEVELS = (0.025, 0.975)
@@ -236,13 +236,14 @@ class SlabLayer:
                  quantiles: bool = True) -> list[list[Posterior]]:
         """The exact posterior of every row under each of a list of prior
         sets, one list of posteriors per set; a set is one DimensionPrior for
-        all rows or a sequence of one per row.  Every set that holds a
-        non-binomial prior is swept over all the rows of the block, and the
-        swept sets share one batched forward-backward pass for
-        q_i = d log Z / d log r_i; a call whose sets are all binomial takes
-        the product of the factors alone.  Binomial rows take their q in
-        closed form.  levels are the two levels lo < hi in (0, 1) of the
-        credible bounds."""
+        all rows or a sequence of one per row.  Every prior reads the one
+        normalised product F' of the factors (logpoly): its dimension pmf is
+        lambda + F' - log Z', and sum_i log1p(r_i) enters only its log
+        partition function.  The sets that hold a non-binomial prior share
+        one forward-backward pass over all the rows, whose centred numerators
+        give log q_i = log s_i + numerator; binomial rows take q in closed
+        form.  levels are the two levels lo < hi in (0, 1) of the credible
+        bounds."""
         levels = tuple(levels)
         if not (len(levels) == 2 and 0.0 < levels[0] < levels[1] < 1.0):
             raise ValueError(f"credible levels must be two levels 0 < lo < hi < 1, got {levels}")
@@ -254,24 +255,23 @@ class SlabLayer:
                              for priors in sets])
         swept = ~binomial.all(axis=1)
         log_r = self.log_r
-        if swept.any():
-            F, log_num = inclusion_log_numerators(log_r, lam[swept].transpose(1, 0, 2))
-        else:
-            F = product_of_linear_factors(log_r)
-
-        log_partition = logsumexp(lam + F, axis=2)
-        dim_log_pmf = lam + F - log_partition[:, :, None]
+        log_Z = np.empty(lam.shape[:2])  # log Z', of the normalised product
         log_q = np.empty(lam.shape[:2] + log_r.shape[1:])
         if swept.any():
-            log_q[swept] = np.minimum(log_r + np.moveaxis(log_num, 1, 0)
-                                      - log_partition[swept, :, None], 0.0)
+            F, centre, num = inclusion_log_numerators(log_r, lam[swept].transpose(1, 0, 2))
+            log_Z[swept] = centre.T
+            log_q[swept] = np.minimum(log_expit(log_r) + np.moveaxis(num, 1, 0), 0.0)
+        else:
+            F = _forward(log_r)
+        log_Z[~swept] = _logsumexp(lam[~swept] + F)
+        dim_log_pmf = lam + F - log_Z[:, :, None]
+        log_partition = log_Z + np.sum(np.logaddexp(0.0, log_r), axis=1)
         # binomial dimension prior makes the coordinates independent:
         # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
         alpha = np.array([p.params[0] for priors, b in zip(sets, binomial)
                           for p, is_b in zip(priors, b) if is_b])[:, None]
-        la, l1a = np.log(alpha), np.log1p(-alpha)
         lr = np.broadcast_to(log_r, log_q.shape)[binomial]
-        log_q[binomial] = la + lr - np.logaddexp(l1a, la + lr)
+        log_q[binomial] = log_expit(np.log(alpha) - np.log1p(-alpha) + lr)
         q = np.exp(log_q)
         mean = q * self.values.shrinkage
 

@@ -254,7 +254,7 @@ def test_run_table_sweeps_each_replication_block_once(monkeypatch):
 
     calls = []
     sweep = posterior.inclusion_log_numerators
-    product = posterior.product_of_linear_factors
+    product = posterior._forward
 
     def spy_sweep(log_r, log_w):
         calls.append(("sweep", np.shape(log_r), np.shape(log_w)))
@@ -265,7 +265,7 @@ def test_run_table_sweeps_each_replication_block_once(monkeypatch):
         return product(log_r)
 
     monkeypatch.setattr(posterior, "inclusion_log_numerators", spy_sweep)
-    monkeypatch.setattr(posterior, "product_of_linear_factors", spy_product)
+    monkeypatch.setattr(posterior, "_forward", spy_product)
     config = ExperimentConfig(n=30, pn_grid=(2, 4), amplitudes=(3.0, 5.0),
                               replications=3, seed=1)
     table = run_table(config)

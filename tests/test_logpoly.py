@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from spikeslab import logpoly, product_of_linear_factors
+from spikeslab import logpoly
 from spikeslab.logpoly import inclusion_log_numerators
 
 
@@ -24,37 +24,53 @@ def elementary_symmetric(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def unnormalised_product(log_r) -> np.ndarray:
+    """prod_i (1 + r_i Z): the normalised product prod_i ((1 - s_i) + s_i Z)
+    with the normaliser prod_i (1 + r_i) added back, as minus its constant
+    coefficient log prod_i (1 - s_i)."""
+    F = logpoly._forward(np.asarray(log_r, dtype=float))
+    return F - F[..., :1]
+
+
+def uncentred_numerators(log_r, log_w):
+    """The numerators of inclusion_log_numerators with the normalisers added
+    back: log sum_{S not containing i} w[|S| + 1] prod_{j in S} r_j."""
+    _, log_Z, num = inclusion_log_numerators(log_r, log_w)
+    log1p_r = np.logaddexp(0.0, log_r)[:, None]
+    return num + log_Z[..., None] + np.sum(log1p_r, axis=-1, keepdims=True) - log1p_r
+
+
 # -- product of linear factors -----------------------------------------------------
 
 
 def test_product_pinned_small():
-    out = product_of_linear_factors(np.log([2.0, 1.0 / 3.0]))
+    out = unnormalised_product(np.log([2.0, 1.0 / 3.0]))
     assert np.allclose(np.exp(out), [1.0, 7.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
 
 
 def test_product_binomial_expansion():
-    out = product_of_linear_factors(np.zeros(3))
+    out = unnormalised_product(np.zeros(3))
     assert np.allclose(np.exp(out), [1.0, 3.0, 3.0, 1.0], rtol=1e-12)
 
 
 def test_product_matches_subset_enumeration():
     rng = np.random.default_rng(5)
     r = rng.uniform(0.05, 4.0, size=12)
-    out = product_of_linear_factors(np.log(r))
+    out = unnormalised_product(np.log(r))
     expected = elementary_symmetric(r)
     assert np.allclose(out, np.log(expected), atol=1e-12)
 
 
 def test_product_rejects_plus_inf():
     with pytest.raises(ValueError):
-        product_of_linear_factors(np.array([0.0, np.inf]))
+        inclusion_log_numerators(np.array([[0.0, np.inf]]), np.zeros((1, 1, 3)))
 
 
 def test_product_eval_at_one_identity():
     # sum_p e_p(r) = prod_i (1 + r_i), checked entirely on the log scale
     rng = np.random.default_rng(17)
     log_r = rng.normal(scale=4.0, size=500)
-    poly = product_of_linear_factors(log_r)
+    poly = unnormalised_product(log_r)
     assert logsumexp(poly) == pytest.approx(
         float(np.sum(np.logaddexp(0.0, log_r))), abs=1e-12 * 500
     )
@@ -63,18 +79,18 @@ def test_product_eval_at_one_identity():
 def test_product_permutation_invariance():
     rng = np.random.default_rng(23)
     log_r = rng.normal(size=40)
-    a = product_of_linear_factors(log_r)
-    b = product_of_linear_factors(log_r[::-1])
+    a = unnormalised_product(log_r)
+    b = unnormalised_product(log_r[::-1])
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_product_monotone_in_each_factor():
     rng = np.random.default_rng(29)
     log_r = rng.normal(size=10)
-    base = product_of_linear_factors(log_r)
+    base = unnormalised_product(log_r)
     bumped = log_r.copy()
     bumped[4] += 0.3
-    out = product_of_linear_factors(bumped)
+    out = unnormalised_product(bumped)
     assert np.all(out[1:] > base[1:])
     assert out[0] == base[0] == 0.0
 
@@ -82,9 +98,21 @@ def test_product_monotone_in_each_factor():
 def test_product_survives_extreme_magnitudes():
     # the linear-domain coefficients here overflow 1e300 by a wide margin
     log_r = np.full(2000, 5.0)
-    poly = product_of_linear_factors(log_r)
+    poly = unnormalised_product(log_r)
     assert np.all(np.isfinite(poly))
     assert poly[2000] == pytest.approx(10000.0, abs=1e-9)
+
+
+def test_normalised_product_is_a_pmf_at_extreme_ratios():
+    # the Poisson-binomial pmf of s_i = r_i / (1 + r_i): no coefficient above
+    # 1, total 1 and mean sum_i s_i, with |log r_i| up to about 3e6
+    rng = np.random.default_rng(19)
+    log_r = np.concatenate([rng.normal(scale=1e6, size=300), rng.normal(scale=3.0, size=20)])
+    F = logpoly._forward(log_r)
+    assert np.all(F <= 0.0)
+    assert logsumexp(F) == pytest.approx(0.0, abs=1e-12)
+    s = np.exp(-np.logaddexp(0.0, -log_r))
+    assert np.sum(np.arange(F.size) * np.exp(F)) == pytest.approx(np.sum(s), abs=1e-10)
 
 
 # -- forward-backward pass ------------------------------------------------------------
@@ -94,8 +122,8 @@ def test_inclusion_pass_product_is_the_schoolbook_product():
     rng = np.random.default_rng(31)
     log_r = rng.normal(scale=4.0, size=300)
     log_r[7] = -np.inf
-    F, _ = inclusion_log_numerators(log_r[None], rng.normal(size=(1, 1, 301)))
-    assert np.array_equal(F[0], product_of_linear_factors(log_r))
+    F, _, _ = inclusion_log_numerators(log_r[None], rng.normal(size=(1, 1, 301)))
+    assert np.array_equal(F[0], logpoly._forward(log_r))
 
 
 def test_inclusion_numerators_match_subset_oracle():
@@ -103,7 +131,7 @@ def test_inclusion_numerators_match_subset_oracle():
     rng = np.random.default_rng(37)
     r = rng.uniform(0.1, 3.0, size=9)
     w = rng.uniform(0.1, 2.0, size=10)
-    _, num = inclusion_log_numerators(np.log(r)[None], np.log(w)[None, None])
+    num = uncentred_numerators(np.log(r)[None], np.log(w)[None, None])
     num = num[0, 0]
     for i in range(9):
         rest = [j for j in range(9) if j != i]
@@ -119,7 +147,7 @@ def test_inclusion_numerators_with_zero_weights():
     # w vanishes off p = 2, so num[i] = log sum_{j != i} r_j
     r = np.array([1.0, 2.0, 3.0])
     w = np.array([-np.inf, -np.inf, 0.0, -np.inf])
-    _, num = inclusion_log_numerators(np.log(r)[None], w[None, None])
+    num = uncentred_numerators(np.log(r)[None], w[None, None])
     assert np.allclose(np.exp(num[0, 0]), [5.0, 4.0, 3.0], rtol=1e-12)
 
 
@@ -137,7 +165,7 @@ def test_inclusion_pass_rejects_misshapen_weights():
 )
 def test_eval_at_one_equals_sum_of_logaddexp_property(data):
     log_r = np.asarray(data)
-    poly = product_of_linear_factors(log_r)
+    poly = unnormalised_product(log_r)
     expected = float(np.sum(np.logaddexp(0.0, log_r)))
     assert logsumexp(poly) == pytest.approx(expected, abs=1e-9)
 
@@ -183,12 +211,13 @@ def test_batched_sweeps_equal_row_by_row(n):
     log_w = rng.normal(size=(4, n + 1))
     log_w[2, 3:] = -np.inf
     log_w = log_w[:, None]  # one prior
-    F, num = inclusion_log_numerators(log_r, log_w)
-    prod = product_of_linear_factors(log_r)
+    F, log_Z, num = inclusion_log_numerators(log_r, log_w)
+    prod = logpoly._forward(log_r)
     for r in range(4):
-        F_r, num_r = inclusion_log_numerators(log_r[r : r + 1], log_w[r : r + 1])
+        F_r, log_Z_r, num_r = inclusion_log_numerators(log_r[r : r + 1], log_w[r : r + 1])
         assert np.array_equal(F[r], F_r[0]) and np.array_equal(num[r], num_r[0])
-        assert np.array_equal(prod[r], product_of_linear_factors(log_r[r]))
+        assert np.array_equal(log_Z[r], log_Z_r[0])
+        assert np.array_equal(prod[r], logpoly._forward(log_r[r]))
     assert np.array_equal(F, prod)
 
 
@@ -200,7 +229,16 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     whole = inclusion_log_numerators(log_r, log_w)
     # room for the prefix table of two rows: chunks of 2, 2 and 1
     monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 1))
+    chunks = []
+    sweep = logpoly._sweep
+
+    def spy_sweep(log_r, log_w):
+        chunks.append(len(log_r))
+        return sweep(log_r, log_w)
+
+    monkeypatch.setattr(logpoly, "_sweep", spy_sweep)
     chunked = inclusion_log_numerators(log_r, log_w)
+    assert chunks == [2, 2, 1] and len(chunked) == len(whole) == 3
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
 
@@ -238,14 +276,16 @@ def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
     alone = [inclusion_log_numerators(log_r, log_w[:, p : p + 1]) for p in range(P)]
     if chunked:  # one row a chunk
         monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 1))
-    F, num = inclusion_log_numerators(log_r, log_w)
-    assert num.shape == (4, P, n)
-    for p, (F_p, num_p) in enumerate(alone):
+    F, log_Z, num = inclusion_log_numerators(log_r, log_w)
+    assert num.shape == (4, P, n) and log_Z.shape == (4, P)
+    for p, (F_p, log_Z_p, num_p) in enumerate(alone):
         assert np.array_equal(F, F_p)
+        assert np.array_equal(log_Z[:, p], log_Z_p[:, 0])
         assert np.array_equal(num[:, p], num_p[:, 0])
     # one row alone, with its row of weights a prior
-    F_0, num_0 = inclusion_log_numerators(log_r[1:2], log_w[1:2])
+    F_0, log_Z_0, num_0 = inclusion_log_numerators(log_r[1:2], log_w[1:2])
     assert np.array_equal(F_0[0], F[1]) and np.array_equal(num_0[0], num[1])
+    assert np.array_equal(log_Z_0[0], log_Z[1])
 
 
 def test_shared_sweep_peak_does_not_grow_with_priors():

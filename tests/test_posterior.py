@@ -14,11 +14,13 @@ from spikeslab import (
     fit,
     fit_many,
     gaussian_slab,
+    generate_data,
     geometric_prior,
     laplace_slab,
     log_psi,
     poisson_prior,
     posterior_shrinkage,
+    SignalSpec,
     student_slab,
 )
 from spikeslab.posterior import SlabLayer, validate_observations
@@ -168,6 +170,45 @@ def test_expected_dimension_identity_large_n():
     post = fit(x, betabin_power_prior(n, 1.0), laplace_slab(), quantiles=False)
     expected_dim = float(np.sum(np.arange(n + 1) * np.exp(post.dim_log_pmf)))
     assert abs(post.inclusion_prob.sum() - expected_dim) <= 1e-8
+
+
+def _tail_observations(n, op, top):
+    """The fit-tails-large draw of perfbench/workloads.py (seed 1): n // 20
+    signals at random places with random signs and log-uniform amplitudes on
+    [3, top], plus standard normal noise."""
+    support, x0 = generate_data(SignalSpec(n, n // 20, 1.0, "random"), 1, op, stream_key=(4,))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([1, 4, op, 1])))
+    idx = np.flatnonzero(support)
+    theta0 = np.zeros(n)
+    theta0[idx] = (rng.choice([-1.0, 1.0], size=idx.size)
+                   * np.exp(rng.uniform(np.log(3.0), np.log(top), idx.size)))
+    return theta0 + (x0 - support)
+
+
+def _dimension_gap(post):
+    p = np.arange(post.dim_log_pmf.size)
+    return abs(post.inclusion_prob.sum() - float(np.sum(p * np.exp(post.dim_log_pmf))))
+
+
+@pytest.mark.parametrize("top", [1e3, 1e4])
+@pytest.mark.parametrize("slab", [laplace_slab(), gaussian_slab()], ids=["laplace", "gaussian"])
+@pytest.mark.parametrize("prior", ["binomial(EB)", "complexity", "betabin"])
+def test_expected_dimension_identity_in_the_far_tails(prior, slab, top):
+    # log r_i reaches about x^2 / 2 = 5e7: the product of the factors 1 + r_i Z
+    # has log coefficients near 1e8, its normalised form none above 0
+    n = 2000
+    x = _tail_observations(n, 0, top)
+    dim_prior = {"binomial(EB)": binomial_prior(n, eb_binomial_weight(x, slab)),
+                 "complexity": complexity_prior(n, 0.1),
+                 "betabin": betabin_power_prior(n, 0.1)}[prior]
+    assert _dimension_gap(fit(x, dim_prior, slab, quantiles=False)) <= 1e-8
+
+
+def test_expected_dimension_identity_in_the_far_tails_at_n_10000():
+    n = 10000
+    x = _tail_observations(n, 0, 1e4)
+    post = fit(x, complexity_prior(n, 0.1), laplace_slab(), quantiles=False)
+    assert _dimension_gap(post) <= 1e-8
 
 
 @pytest.mark.parametrize("slab", [laplace_slab(), student_slab(3.0), exp_power_slab(0.5)],
@@ -740,13 +781,13 @@ def test_fit_each_of_binomial_sets_reads_the_product(monkeypatch):
     from spikeslab import posterior
 
     calls = []
-    product = posterior.product_of_linear_factors
+    product = posterior._forward
 
     def spy_product(log_r):
         calls.append(np.shape(log_r))
         return product(log_r)
 
-    monkeypatch.setattr(posterior, "product_of_linear_factors", spy_product)
+    monkeypatch.setattr(posterior, "_forward", spy_product)
     monkeypatch.setattr(posterior, "inclusion_log_numerators", None)
     X = np.random.default_rng(79).normal(scale=2.0, size=(3, 12))
     layer = SlabLayer(laplace_slab(), X)
@@ -768,7 +809,7 @@ def test_fit_each_sweeps_each_coupled_set_over_every_row(monkeypatch):
         return sweep(log_r, log_w)
 
     monkeypatch.setattr(posterior, "inclusion_log_numerators", spy_sweep)
-    monkeypatch.setattr(posterior, "product_of_linear_factors", None)
+    monkeypatch.setattr(posterior, "_forward", None)
     X = np.random.default_rng(83).normal(scale=2.0, size=(3, 12))
     layer = SlabLayer(laplace_slab(), X)
     coupled = [complexity_prior(12, 0.3), binomial_prior(12, 0.2), poisson_prior(12, 1.0)]
