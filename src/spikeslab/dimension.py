@@ -7,11 +7,12 @@ per-model log-weights  lambda_p = log pi_n(p) - log C(n, p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .logpoly import _logsumexp
 
@@ -46,10 +47,35 @@ class DimensionPrior:
             raise ValueError(f"log_pmf is not normalized (log-sum-exp = {total:.3e})")
 
     def log_model_weights(self) -> np.ndarray:
-        """Vector of log pi_n(p) - log C(n, p), p = 0..n, via log-gamma."""
-        p = np.arange(self.n + 1)
-        log_binom = gammaln(self.n + 1) - gammaln(p + 1) - gammaln(self.n - p + 1)
+        """Vector of log pi_n(p) - log C(n, p), p = 0..n.  A binomial(n,
+        alpha) prior forms it directly, p log alpha + (n - p) log(1 - alpha)
+        minus the normaliser of its pmf, so no log C(n, p) cancels."""
+        log_binom = _log_binomials(self.n)
+        if self.family is DimensionFamily.BINOMIAL:
+            w = _binomial_log_terms(self.n, self.params[0])
+            return w - _logsumexp(log_binom + w)
         return self.log_pmf - log_binom
+
+
+@lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, one math.lgamma each, read-only: shared by every
+    prior of that size."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, p), p = 0..n."""
+    f = _log_factorials(n)
+    return f[-1] - f - f[::-1]
+
+
+def _binomial_log_terms(n: int, alpha: float) -> np.ndarray:
+    """p log alpha + (n - p) log(1 - alpha), p = 0..n."""
+    p = np.arange(n + 1, dtype=float)
+    return p * np.log(alpha) + (n - p) * np.log1p(-alpha)
 
 
 def _normalized(n: int, log_weights: np.ndarray, family: DimensionFamily, params: tuple) -> DimensionPrior:
@@ -82,8 +108,9 @@ def betabin_power_prior(n: int, kappa: float) -> DimensionPrior:
         raise ValueError("n must be at least 1")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    p = np.arange(n + 1, dtype=float)
-    w = kappa * (gammaln(2 * n - p + 1) - gammaln(n + 1) - gammaln(n - p + 1))
+    f = _log_factorials(2 * n)
+    p = np.arange(n + 1)
+    w = kappa * (f[2 * n - p] - f[n] - f[n - p])
     return _normalized(n, w, DimensionFamily.BETABIN_POWER, (kappa,))
 
 
@@ -91,9 +118,7 @@ def binomial_prior(n: int, alpha: float) -> DimensionPrior:
     """Binomial(n, alpha) prior on dimension; alpha strictly inside (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
-    p = np.arange(n + 1, dtype=float)
-    log_binom = gammaln(n + 1) - gammaln(p + 1) - gammaln(n - p + 1)
-    w = log_binom + p * np.log(alpha) + (n - p) * np.log1p(-alpha)
+    w = _log_binomials(n) + _binomial_log_terms(n, alpha)
     return _normalized(n, w, DimensionFamily.BINOMIAL, (alpha,))
 
 
@@ -101,8 +126,7 @@ def poisson_prior(n: int, alpha: float) -> DimensionPrior:
     """Poisson(alpha) truncated to {0, ..., n} and renormalized."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    p = np.arange(n + 1, dtype=float)
-    w = p * np.log(alpha) - gammaln(p + 1)
+    w = np.arange(n + 1) * np.log(alpha) - _log_factorials(n)
     return _normalized(n, w, DimensionFamily.POISSON, (alpha,))
 
 

@@ -16,7 +16,6 @@ carried apiece.  Every step combines nonnegative terms, so nothing cancels.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_expit
 
 __all__ = ["inclusion_log_numerators"]
 
@@ -40,6 +39,12 @@ def _logaddexp(a, b, out=None):
     np.log1p(d, out=d)
     d += m
     return np.fmax(d, m, out=d if out is None else out)
+
+
+def log_expit(x):
+    """log(1 / (1 + e^-x)) elementwise, as -logaddexp(0, -x): the formula of
+    scipy.special.log_expit on either sign, with no scipy import."""
+    return -np.logaddexp(0.0, -x)
 
 
 def _logsumexp(a) -> np.ndarray:

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_expit
 
 from .dimension import DimensionFamily, DimensionPrior
-from .logpoly import _forward, _logsumexp, inclusion_log_numerators
+from .logpoly import _forward, _logsumexp, inclusion_log_numerators, log_expit
 from .slabs import SlabPrior, SlabValues, log_phi
 
 DEFAULT_LEVELS = (0.025, 0.975)

@@ -16,17 +16,21 @@ the one place that decides how a family is evaluated.  Laplace and Gaussian
 slabs use closed forms on the log scale (log-Phi via erfc keeps the
 e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones,
 second moment included, all come from one pair of log-Phi arrays.  Student
-and exponential-power slabs come from one stacked panel Gauss-Legendre table
-over the distinct observations (PanelTables): one peak search, zooming a
-grid for every observation at once (_windows), places all their windows and
-gives each observation's scale, its log integrand at the peak; one sort
-lays out all their meshes (_meshes); and every panel, scaled by its
-observation's peak, is then independent, so the rule runs on fixed slices
-of panels whatever observations they cut.  A mesh is graded toward
-the origin only down to the length scale of g there (_graded_knots): to
-1e-13 where g has a kink, not at all for a unit-scale Student slab.
-log_psi, posterior_shrinkage, zeta and second_moment_ratio read a
-SlabValues.
+and exponential-power slabs come from one stacked panel table over the
+distinct observations (PanelTables), one 21-point Gauss-Kronrod rule a
+panel, whose embedded 10-point Gauss rule gives the refinement estimate:
+one peak search, zooming a grid for every observation at once (_windows),
+places all their windows, trimmed to where the log integrand is within 750
+of its peak, and gives each observation's scale, its log integrand at the
+peak; one sort lays out all their meshes (_meshes); and every panel,
+scaled by its observation's peak, is then independent, so the rule runs on
+fixed slices of panels whatever observations they cut.  A mesh is graded
+toward the origin only down to the length scale of g there
+(_graded_knots): to 1e-13 where g has a kink, not at all for a unit-scale
+Student slab; and toward a peak narrower than the uniform spacing at
+multiples of its width (_peak_width).  Only the closed forms import
+scipy.special, on first use.  log_psi, posterior_shrinkage, zeta and
+second_moment_ratio read a SlabValues.
 
 The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
 inverted exactly, with no bisection (SlabValues.quantile), from the same
@@ -46,7 +50,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -122,7 +125,7 @@ def log_phi(z):
 def _exp_power_log_norm(alpha: float) -> float:
     # int exp(-|y|^alpha) dy = 2 Gamma(1 + 1/alpha); exact, verified against
     # quadrature in the test suite
-    return math.log(2.0) + gammaln(1.0 + 1.0 / alpha)
+    return math.log(2.0) + math.lgamma(1.0 + 1.0 / alpha)
 
 
 def log_g(prior: SlabPrior, t):
@@ -139,8 +142,8 @@ def log_g(prior: SlabPrior, t):
         nu = prior.shape
         z = t / s
         out = (
-            gammaln((nu + 1.0) / 2.0)
-            - gammaln(nu / 2.0)
+            math.lgamma((nu + 1.0) / 2.0)
+            - math.lgamma(nu / 2.0)
             - 0.5 * math.log(nu * math.pi)
             - math.log(s)
             - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
@@ -157,14 +160,49 @@ def log_g(prior: SlabPrior, t):
 
 _PANELS_PER_HALFWIDTH = 32  # panels across _QUAD_HALFWIDTH, at most
 _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# knots at these multiples of the integrand's width at its peak (_peak_width)
+_PEAK_KNOTS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+# a window ends where the log integrand is this far below its peak value:
+# beyond, every node of a panel scaled at the peak underflows (e^-745 is the
+# least double)
+_TRIM = 750.0
+_TRIM_STEPS = 2.0 ** -np.arange(48.0)  # distances tried, relative to the untrimmed one
+
+# The 21-point Gauss-Kronrod rule and its embedded 10-point Gauss rule, as
+# in QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+# 1983): the 11 Kronrod nodes in [0, 1) and their weights, and the Gauss
+# weights of the nodes 0.9739, 0.8651, 0.6794, 0.4334 and 0.1489.  _NODES
+# ascend over (-1, 1), so the Gauss nodes are _NODES[1::2].
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_KRONROD_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208802936000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_NODES = np.concatenate([-_KRONROD_X, _KRONROD_X[-2::-1]])
+_KRONROD = np.concatenate([_KRONROD_W, _KRONROD_W[-2::-1]])
+_GAUSS = np.concatenate([_GAUSS_W, _GAUSS_W[::-1]])
 _QUAD_TOL = 1e-10  # relative accuracy asked of a table (see PanelTables)
-# rule rows (panels, the halved ones included) of one evaluation: a (rows, 16)
-# array is 60 KB, and an exp-power fit at n = 20 peaks at 520 KB traced.  With
-# the rule run on whole observations, on a 2-core Xeon, 960 rows built the
-# tables about 10% faster but peaked 200 KB higher, and one evaluation over
-# all 4000-9000 rows of a fit at n = 20 was about 40% slower
-_RULE_ROWS = 480
+# panels of one rule evaluation: a (panels, 21) array is 60 KB, and a fit at
+# n = 20 peaks near 370 KB traced.  On a 2-core Xeon, slices of 240 and 731
+# panels took 3% and 6% longer a round of three such fits
+_RULE_ROWS = 365
+
+
+def _log_integrand(prior: SlabPrior, x, t):
+    """log phi(x - t) + log g(t), broadcast over x and t."""
+    return log_phi(x - t) + log_g(prior, t)
 
 
 def _windows(prior: SlabPrior, x: np.ndarray):
@@ -177,8 +215,16 @@ def _windows(prior: SlabPrior, x: np.ndarray):
     a window around x alone misses the mass.  It is found by zooming a
     65-point grid that contains both ends, one row per entry, all entries at
     once; an entry stops zooming when its grid spacing is within
-    _PEAK_STEP * max(1, |x|).  The window reaches _QUAD_HALFWIDTH beyond the
-    peak and beyond x.
+    _PEAK_STEP * max(1, |x|).
+
+    The window reaches at most _QUAD_HALFWIDTH beyond the peak and beyond x,
+    and is trimmed to where the log integrand lies within _TRIM of top.  It
+    holds the peak, and 0 and x where the integrand there is within that
+    range: a Student integrand can have a second mode near 0.  Past those
+    anchors the integrand decreases, so an end out of range moves in to the
+    first of the distances _TRIM_STEPS * (untrimmed end - anchor), tried
+    from the longest down, whose successor is within range: at most twice
+    the distance to where the log integrand crosses top - _TRIM.
     """
     x = np.asarray(x, dtype=float)
     a, b = np.minimum(x, 0.0), np.maximum(x, 0.0)
@@ -187,7 +233,7 @@ def _windows(prior: SlabPrior, x: np.ndarray):
     m = np.arange(x.size)  # the entries still zooming
     while m.size:
         grid = np.linspace(a[m], b[m], 65, axis=1)
-        log_f = log_phi(x[m, None] - grid) + log_g(prior, grid)
+        log_f = _log_integrand(prior, x[m, None], grid)
         k = np.argmax(log_f, axis=1)
         rows = np.arange(m.size)
         peak[m], top[m] = grid[rows, k], log_f[rows, k]
@@ -195,7 +241,41 @@ def _windows(prior: SlabPrior, x: np.ndarray):
         a[m], b[m] = grid[rows, np.maximum(k - 1, 0)], grid[rows, np.minimum(k + 1, 64)]
         m = m[~done]
     lo, hi = np.minimum(x, peak) - _QUAD_HALFWIDTH, np.maximum(x, peak) + _QUAD_HALFWIDTH
-    return lo, hi, peak, top
+    # the anchors peak, 0 and x, kept where inside [lo, hi] and within range,
+    # and the untrimmed ends, moved in where out of range
+    points = np.column_stack([peak, np.zeros(x.size), x, lo, hi])
+    within = _log_integrand(prior, x[:, None], points) >= top[:, None] - _TRIM
+    keep = within[:, :3] & (points[:, :3] >= lo[:, None]) & (points[:, :3] <= hi[:, None])
+    # both sides of every entry at once, the left ones first
+    anchor = np.concatenate([np.where(keep, points[:, :3], np.inf).min(axis=1),
+                             np.where(keep, points[:, :3], -np.inf).max(axis=1)])
+    end = np.concatenate([lo, hi])
+    cut = np.flatnonzero(~within[:, 3:].T.ravel())
+    if cut.size:
+        j = cut % x.size
+        t = anchor[cut, None] + (end - anchor)[cut, None] * _TRIM_STEPS
+        inside = _log_integrand(prior, x[j, None], t) >= top[j, None] - _TRIM
+        # the longest distance within range, and the trial end before it (the
+        # untrimmed end itself should rounding put it back within range)
+        k = np.where(inside.any(axis=1), np.argmax(inside, axis=1), _TRIM_STEPS.size)
+        k = np.maximum(k - 1, 0)
+        end[cut] = t[np.arange(cut.size), k]
+    return end[:x.size], end[x.size:], peak, top
+
+
+def _peak_width(prior: SlabPrior, t: np.ndarray) -> np.ndarray:
+    """1 / sqrt(-(log f)'') of the log integrand log f = log phi(x - t) +
+    log g(t), whatever x: the width of the integrand at its peak t; 0 at
+    the kink of exp-power with 1 < alpha < 2, NaN where log f is not
+    concave at t."""
+    s, shape = prior.scale, prior.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if prior.family is SlabFamily.STUDENT:
+            v = s * s * shape
+            curvature = 1.0 + (shape + 1.0) * (v - t * t) / (v + t * t) ** 2
+        else:
+            curvature = 1.0 + shape * (shape - 1.0) * np.abs(t) ** (shape - 2.0) / s ** shape
+        return 1.0 / np.sqrt(np.where(curvature > 0.0, curvature, np.nan))
 
 
 def _graded_knots(prior: SlabPrior) -> np.ndarray:
@@ -218,8 +298,10 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
 
     The knots of an entry span its window [lo, hi] (_windows): a uniform
     spacing of at most _QUAD_HALFWIDTH / 32, the kinks at 0 and x, the
-    peak, the peak +/- _QUAD_HALFWIDTH and the graded knots of the slab
-    (_graded_knots).
+    peak, the peak +/- _QUAD_HALFWIDTH, the graded knots of the slab
+    (_graded_knots) and, where the integrand's width at its peak
+    (_peak_width) is below the uniform spacing, the peak +/- _PEAK_KNOTS
+    times that width.
     """
     n = x.size
     count = np.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH).astype(int) + 1
@@ -230,8 +312,11 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
     grid = (np.arange(ends[-1]) - (ends - count)[owner]) * step[owner] + lo[owner]
     grid[ends - 1] = hi
     graded = _graded_knots(prior)
+    width = _peak_width(prior, peak)
+    width = np.where(width < _QUAD_HALFWIDTH / _PANELS_PER_HALFWIDTH, width, 0.0)
     points = np.column_stack([peak, peak - _QUAD_HALFWIDTH, peak + _QUAD_HALFWIDTH, np.zeros(n), x,
-                              np.broadcast_to(graded, (n, graded.size))])
+                              np.broadcast_to(graded, (n, graded.size)),
+                              peak[:, None] + width[:, None] * _PEAK_KNOTS])
     knots = np.concatenate([grid, points.ravel()])
     owner = np.concatenate([owner, np.repeat(np.arange(n), points.shape[1])])
     inside = (knots >= lo[owner]) & (knots <= hi[owner])
@@ -244,37 +329,34 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
 
 
 def _panel_rule(prior: SlabPrior, x, a, b):
-    """Nodes t, log integrand log phi(x - t) + log g(t) and weights of the
-    16-point Gauss-Legendre rule on each panel [a, b], one row per panel;
-    x is one observation or one per panel."""
+    """Nodes t and log integrand log phi(x - t) + log g(t) of the 21-point
+    Kronrod rule on each panel [a, b], one row per panel, and the panel's
+    half-width, by which the rule's weights scale; x is one observation or
+    one per panel."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     half = 0.5 * (b - a)
     t = 0.5 * (a + b)[:, None] + half[:, None] * _NODES
-    return t, log_phi(np.reshape(x, (-1, 1)) - t) + log_g(prior, t), half[:, None] * _WEIGHTS
+    return t, _log_integrand(prior, np.reshape(x, (-1, 1)), t), half
 
 
 def _partial_mass(prior: SlabPrior, x, a, u, shift):
-    """The rule for the integral of exp(-shift) phi(x - t) g(t) over each
-    [a, u]; x and shift are scalars or one per interval."""
-    _, log_f, w = _panel_rule(prior, x, a, u)
-    return (np.exp(log_f - np.reshape(shift, (-1, 1))) * w).sum(axis=1)
+    """The Kronrod rule for the integral of exp(-shift) phi(x - t) g(t) over
+    each [a, u]; x and shift are scalars or one per interval."""
+    _, log_f, half = _panel_rule(prior, x, a, u)
+    return (np.exp(log_f - np.reshape(shift, (-1, 1))) * _KRONROD).sum(axis=1) * half
 
 
 def _panel_masses(prior: SlabPrior, x, shift, a, b):
-    """(mass, moment, halved) of each panel [a, b], with x and shift those
-    of its entry: the integral of exp(-shift) phi(x - t) g(t) on the panel,
-    of t times it, and of it on the two halves of the panel, summed, for the
-    refinement check.  One rule evaluation covers the panels and their
-    halves."""
-    m = a.size
-    mid = 0.5 * (a + b)
-    t, log_f, w = _panel_rule(prior, np.tile(x, 3), np.concatenate([a, a, mid]),
-                              np.concatenate([b, mid, b]))
-    log_f -= np.tile(shift, 3)[:, None]
+    """(mass, moment, gauss) of each panel [a, b], with x and shift those of
+    its entry: the Kronrod rule for the integral of exp(-shift) phi(x - t)
+    g(t) on the panel and of t times it, and the embedded Gauss rule for
+    the first, for the refinement estimate."""
+    t, log_f, half = _panel_rule(prior, x, a, b)
+    log_f -= shift[:, None]
     vals = np.exp(log_f, out=log_f)
-    vals *= w
-    mass = vals.sum(axis=1)
-    return mass[:m], (vals[:m] * t[:m]).sum(axis=1), mass[m:2 * m] + mass[2 * m:]
+    gauss = (vals[:, 1::2] * _GAUSS).sum(axis=1) * half
+    vals *= _KRONROD
+    return vals.sum(axis=1) * half, (vals * t).sum(axis=1) * half, gauss
 
 
 class PanelTables:
@@ -283,24 +365,24 @@ class PanelTables:
     entry j are mesh[start[j]:start[j + 1]] and cum[start[j]:start[j + 1]].
 
     The mesh of an entry (_meshes) spans its window; each panel gets the
-    16-point Gauss-Legendre rule.  The integrand of an entry is scaled by
+    21-point Gauss-Kronrod rule.  The integrand of an entry is scaled by
     its value at the peak that places the window, exp(shift) (_windows), so
     psi and the moments stay finite when psi underflows the linear domain,
     and every panel is then independent of the others.  The rule runs on
-    fixed slices of _RULE_ROWS // 3 panels and their halved panels, for the
-    refinement check (_panel_masses); an entry may straddle two slices.
-    Every reduction is over one panel's nodes (a row) or one entry's own
-    panels (np.add.reduceat, one cumsum per entry), so an entry reads the
-    same, bit for bit, whatever else is stacked with it.
+    fixed slices of _RULE_ROWS panels (_slices), each taking its panels'
+    observations and scales from the entry offsets; an entry may straddle
+    two slices.  Every reduction is over one panel's nodes (a row) or one
+    entry's own panels (np.add.reduceat, one cumsum per entry), so an entry
+    reads the same, bit for bit, whatever else is stacked with it.
 
     Per entry: log_psi, the slab-conditional mean zeta/psi, the slab cdf
     H(u) = psi(x, u) / psi(x) (cdf) and its value cdf_at_zero at the knot 0,
     its exact inverse (table_quantiles), the panel count (panels) and the
-    refinement estimate (error): the relative change of psi when every panel
-    is halved.  QuadratureError is raised when an error exceeds
-    10 * _QUAD_TOL plus the rounding floor of the log integrand (machine
-    epsilon times its size at the peak).  The second moment is formed on
-    first use (second_moment).
+    refinement estimate (error): |G10 - K21| / K21 of psi, the embedded
+    10-point Gauss rule against the Kronrod rule, summed over the panels.
+    QuadratureError is raised when an error exceeds 10 * _QUAD_TOL plus the
+    rounding floor of the log integrand (machine epsilon times its size at
+    the peak).  The second moment is formed on first use (second_moment).
     """
 
     def __init__(self, prior: SlabPrior, x: np.ndarray):
@@ -309,21 +391,17 @@ class PanelTables:
         lo, hi, peak, self.shift = _windows(prior, x)
         self.mesh, self.start = _meshes(prior, x, lo, hi, peak)
         self.panels = np.diff(self.start) - 1
-        first = self.start - np.arange(x.size + 1)  # of each entry's panels
-        args = self._panel_args()
-        sums, moments, halved = np.empty((3, first[-1]))
-        # _panel_masses frees a slice's rule arrays before the next is built
-        for k in range(0, first[-1], _RULE_ROWS // 3):
-            r = slice(k, k + _RULE_ROWS // 3)
-            sums[r], moments[r], halved[r] = _panel_masses(prior, *(v[r] for v in args))
+        self._first = self.start[:-1] - np.arange(x.size)  # of each entry's panels
+        sums, moments, gauss = np.empty((3, self.mesh.size - x.size))
+        for r, *args in self._slices():
+            sums[r], moments[r], gauss[r] = _panel_masses(prior, *args)
         self.cum = np.zeros(self.mesh.size)
-        for j in range(x.size):
-            np.cumsum(sums[first[j]:first[j + 1]],
-                      out=self.cum[self.start[j] + 1:self.start[j + 1]])
+        for j, (k, m) in enumerate(zip(self._first, self.panels)):
+            np.cumsum(sums[k:k + m], out=self.cum[self.start[j] + 1:self.start[j + 1]])
         self.total = self.cum[self.start[1:] - 1]
         self.log_psi = self.shift + np.log(self.total)
-        self.mean = np.add.reduceat(moments, first[:-1]) / self.total
-        self.error = np.abs(np.add.reduceat(halved, first[:-1]) / self.total - 1.0)
+        self.mean = np.add.reduceat(moments, self._first) / self.total
+        self.error = np.abs(np.add.reduceat(gauss, self._first) / self.total - 1.0)
         bad = self.error - (10.0 * _QUAD_TOL + np.finfo(float).eps * np.abs(self.shift))
         if np.any(bad > 0.0):
             j = int(np.argmax(bad))
@@ -335,25 +413,25 @@ class PanelTables:
         k = np.add.reduceat(self.mesh <= 0.0, self.start[:-1])
         self.cdf_at_zero = np.where(k > 0, self.cum[self.start[:-1] + k - 1], 0.0) / self.total
 
-    def _panel_args(self):
-        """(x, shift, a, b) of every panel, stacked like the knots: its
-        entry's observation and scale, and its ends."""
-        left = np.ones(self.mesh.size, dtype=bool)
-        left[self.start[1:] - 1] = False
-        k = np.flatnonzero(left)
-        return (np.repeat(self.x, self.panels), np.repeat(self.shift, self.panels),
-                self.mesh[k], self.mesh[k + 1])
+    def _slices(self):
+        """(r, x, shift, a, b) of each slice r of _RULE_ROWS panels, in
+        order: its panels' observations and scales, read through their
+        entries, and their ends.  Panel p of entry j starts at knot p + j."""
+        count = self.mesh.size - self.x.size
+        for k in range(0, count, _RULE_ROWS):
+            p = np.arange(k, min(k + _RULE_ROWS, count))
+            j = np.searchsorted(self._first, p, side="right") - 1
+            yield (slice(k, k + p.size), self.x[j], self.shift[j],
+                   self.mesh[p + j], self.mesh[p + j + 1])
 
     def second_moment(self) -> np.ndarray:
-        """int t^2 phi(x - t) g(t) dt / psi(x) of every entry, from the rule
-        on every panel once more, _RULE_ROWS panels a slice."""
-        x, shift, a, b = self._panel_args()
-        sums = np.empty(a.size)
-        for k in range(0, a.size, _RULE_ROWS):
-            r = slice(k, k + _RULE_ROWS)
-            t, log_f, w = _panel_rule(self.prior, x[r], a[r], b[r])
-            sums[r] = (np.exp(log_f - shift[r, None]) * w * t * t).sum(axis=1)
-        return np.add.reduceat(sums, self.start[:-1] - np.arange(self.x.size)) / self.total
+        """int t^2 phi(x - t) g(t) dt / psi(x) of every entry, from the
+        Kronrod rule on every panel once more, on the same slices."""
+        sums = np.empty(self.mesh.size - self.x.size)
+        for r, x, shift, a, b in self._slices():
+            t, log_f, half = _panel_rule(self.prior, x, a, b)
+            sums[r] = (np.exp(log_f - shift[:, None]) * t * t * _KRONROD).sum(axis=1) * half
+        return np.add.reduceat(sums, self._first) / self.total
 
     def cdf(self, j: int, u: float) -> float:
         """H(u) = psi(x, u) / psi(x) of entry j, clipped to [0, 1]."""
@@ -378,7 +456,7 @@ def table_quantiles(tables: PanelTables, j: np.ndarray, tau: np.ndarray) -> np.n
     (entry, cumulative sum) keys, so panels of zero mass are passed over.
     Inside that panel, Newton steps solve "rule on [panel start, u] =
     tau * total - mass before the panel" with the integrand as the
-    derivative; each step is one 16-point rule for every coordinate still
+    derivative; each step is one Kronrod rule for every coordinate still
     moving, and a step that leaves the bracket of the root bisects it
     instead.  A coordinate stops when its step is within the float
     resolution of its panel, or its residual within the rounding of the log
@@ -408,7 +486,7 @@ def table_quantiles(tables: PanelTables, j: np.ndarray, tau: np.ndarray) -> np.n
     for _ in range(64):
         um = u[m]
         miss = _partial_mass(prior, x[m], start[m], um, shift[m]) - need[m]
-        dens = np.exp(log_phi(x[m] - um) + log_g(prior, um) - shift[m])
+        dens = np.exp(_log_integrand(prior, x[m], um) - shift[m])
         lo[m] = np.where(miss < 0.0, um, lo[m])
         hi[m] = np.where(miss < 0.0, hi[m], um)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -433,6 +511,7 @@ def _excess_second_moment(y):
     and it is 2 / (y D + 2) with D = y + 3 / (y + 4 / (y + 5 / ...)), from
     Laplace's continued fraction lambda = y + 1 / (y + 2 / D).
     """
+    from scipy.special import log_ndtr
     tail = y > 2.5
     yt = np.where(tail, y, 3.0)
     d = yt
@@ -480,6 +559,7 @@ class SlabValues:
         self.panels = np.zeros(x.shape, dtype=int)
         a = prior.scale
         if prior.family is SlabFamily.LAPLACE:
+            from scipy.special import log_ndtr
             neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
             # psi(x) = (a/2) e^{a^2/2} [e^{-a x} Phi(x - a) + e^{a x} Phi(-x - a)]
             # zeta(x) = (a/2) e^{a^2/2} [(x-a) e^{-a x} Phi(x-a) + (x+a) e^{a x} Phi(-x-a)]
@@ -492,6 +572,7 @@ class SlabValues:
             self._l_plus = np.logaddexp(neg + 2.0 * a * x, pos)
             self.cdf_at_zero = np.exp(neg - self._l_minus)
         elif prior.family is SlabFamily.GAUSSIAN:
+            from scipy.special import ndtr
             tau = math.hypot(1.0, a)
             self.log_psi = log_phi(x / tau) - math.log(tau)
             self.shrinkage, sd = _gaussian_posterior(a, x)
@@ -543,10 +624,12 @@ class SlabValues:
         if self._tables is not None:
             out[inside] = table_quantiles(self._tables, np.take(self._entry, k), tau)
         elif self.prior.family is SlabFamily.LAPLACE:
+            from scipy.special import ndtri_exp
             below = tau <= np.take(self.cdf_at_zero, k)
             out[inside] = np.where(below, x + a + ndtri_exp(np.log(tau) + np.take(self._l_minus, k)),
                                    x - a - ndtri_exp(np.log1p(-tau) + np.take(self._l_plus, k)))
         else:
+            from scipy.special import ndtri
             m, sd = _gaussian_posterior(a, x)
             out[inside] = m + sd * ndtri(tau)
         return out
@@ -562,6 +645,7 @@ class SlabValues:
         """
         if self._tables is not None:
             return self._tables.cdf(int(self._entry.flat[k]), u)
+        from scipy.special import log_ndtr, ndtr
         x, a = self.x.flat[k], self.prior.scale
         if self.prior.family is SlabFamily.LAPLACE:
             if u <= 0.0:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -572,8 +575,8 @@ def test_eb_weight_single_observation():
 
 def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
     # no adaptive quadrature: one stacked table over the distinct
-    # observations, whose panels and halved panels go through one rule
-    # evaluation (they fit one slice of _RULE_ROWS rows)
+    # observations, whose panels go through one Kronrod rule evaluation
+    # (they fit one slice of _RULE_ROWS panels), with no halved panels
     import scipy.integrate
 
     from spikeslab import slabs
@@ -599,16 +602,44 @@ def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
     x = np.array([[0.3, -1.2, 0.3, 0.3, -1.2, -1.2]])
     layer = SlabLayer(student_slab(3.0), x)
     panels = int(layer.values._tables.panels.sum())
-    assert built == [(sorted(set(x.ravel().tolist())), [3 * panels])]
+    assert built == [(sorted(set(x.ravel().tolist())), [panels])]
     post = layer.fit(complexity_prior(6, 0.1))[0]
     assert len(built) == 1 and np.all(np.isfinite(post.credible_hi))
     # a block whose panels pass _RULE_ROWS takes one evaluation per slice of
-    # at most _RULE_ROWS rows, whatever observations the slice cuts
+    # at most _RULE_ROWS panels, whatever observations the slice cuts
     built.clear()
     values = slabs.SlabValues(exp_power_slab(0.5), np.linspace(-5.0, 5.0, 40))
     (_, evaluations), = built
-    assert sum(evaluations) == 3 * values.panels.sum() and len(evaluations) > 1
+    assert sum(evaluations) == values.panels.sum() and len(evaluations) > 1
     assert max(evaluations) <= slabs._RULE_ROWS
+
+
+def test_quadrature_slabs_load_no_scipy_special():
+    # in a fresh interpreter: importing the package, complexity-prior fits
+    # with quantiles under Student(3), exp-power(0.5) and exp-power(1.5) and
+    # a marginal cdf leave scipy.special unimported; a Laplace fit loads it
+    script = """
+import sys
+import numpy as np
+import spikeslab
+loaded = ["scipy.special" in sys.modules]
+from spikeslab import complexity_prior, exp_power_slab, fit, laplace_slab, student_slab
+x = np.array([0.3, -1.2, 4.5, 0.0, 30.0, -6.0])
+for slab in (student_slab(3.0), exp_power_slab(0.5), exp_power_slab(1.5)):
+    post = fit(x, complexity_prior(x.size, 0.1), slab, quantiles=True)
+    assert np.all(np.isfinite(post.credible_hi))
+    assert 0.0 < post.marginal_cdf(2, 4.0) < 1.0
+loaded.append("scipy.special" in sys.modules)
+fit(x, complexity_prior(x.size, 0.1), laplace_slab(), quantiles=True)
+loaded.append("scipy.special" in sys.modules)
+print(loaded)
+"""
+    src = os.path.dirname(os.path.dirname(validate_observations.__code__.co_filename))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False, True]"
 
 
 @pytest.mark.parametrize(
@@ -645,17 +676,18 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
 
 def test_laplace_fit_evaluates_log_ndtr_once_per_sign(monkeypatch):
     # psi, zeta/psi, H(0) and the quantile halves of the Laplace slab all
-    # come from log Phi(x - a) and log Phi(-x - a), evaluated once per fit
-    from spikeslab import slabs
+    # come from log Phi(x - a) and log Phi(-x - a), evaluated once per fit;
+    # the Laplace branches import log_ndtr from scipy.special when called
+    import scipy.special
 
     sizes = []
-    log_ndtr = slabs.log_ndtr
+    log_ndtr = scipy.special.log_ndtr
 
     def counting_log_ndtr(z):
         sizes.append(np.size(z))
         return log_ndtr(z)
 
-    monkeypatch.setattr(slabs, "log_ndtr", counting_log_ndtr)
+    monkeypatch.setattr(scipy.special, "log_ndtr", counting_log_ndtr)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
     post = fit(x, complexity_prior(8, 0.1), laplace_slab(), quantiles=True)
     assert sizes == [8, 8]

@@ -452,17 +452,19 @@ def test_table_quantiles_batch_matches_single_tables(prior):
     + [laplace_slab(s) for s in (1e-3, 1.0, 1e3)],
     ids=str,
 )
-def test_table_layer_is_batch_invariant(prior):
+def test_table_layer_is_batch_invariant(prior, monkeypatch):
     # one stacked table holds every distinct entry of a SlabValues; each
     # entry's mesh, and every value read from it, is the one the entry
     # builds alone, bit for bit (a Laplace slab builds no table), also where
-    # its panels straddle two slices of the rule
+    # its panels straddle two slices of the rule.  Slices of 20 panels, fewer
+    # than any entry's, so entries straddle them under every slab; the
+    # masses and the second moment run on the same slices
+    monkeypatch.setattr(slabs, "_RULE_ROWS", 20)
     values = SlabValues(prior, TAIL_GRID)
     if values._tables is not None:
         first = values._tables.start[:-1] - np.arange(values._tables.x.size)
         last = first + values._tables.panels - 1
-        for width in (slabs._RULE_ROWS // 3, slabs._RULE_ROWS):  # masses, second moment
-            assert np.any(first // width != last // width), width
+        assert np.any(first // slabs._RULE_ROWS != last // slabs._RULE_ROWS)
     tau = np.array([1e-6, 0.3, 1.0 - 1e-6])
     for k, x in enumerate(TAIL_GRID):
         one = SlabValues(prior, TAIL_GRID[[k]])
@@ -481,15 +483,44 @@ def test_table_layer_is_batch_invariant(prior):
 def test_window_peak_is_the_integrand_maximum(prior):
     # the zoomed peak is within the search's resolution of the maximum of
     # log phi(x - t) + log g(t) on a dense grid between 0 and x, and top is
-    # the log integrand at the peak, bit for bit
+    # the log integrand at the peak, bit for bit.  The window lies within 13
+    # of the peak and x, holds the peak, ends where the log integrand is
+    # more than 750 below top wherever it is trimmed, and holds 0 and x
+    # wherever the integrand there is within that range
     x = np.array([0.0, 1.3, -4.0, 30.0, -1e3])
     lo, hi, peak, top = slabs._windows(prior, x)
-    for v, left, right, p in zip(x, lo, hi, peak):
+
+    def log_f(v, t):
+        return log_phi(v - t) + log_g(prior, t)
+
+    for v, left, right, p, m in zip(x, lo, hi, peak, top):
         t = np.linspace(min(v, 0.0), max(v, 0.0), 200_001)
-        dense = t[np.argmax(log_phi(v - t) + log_g(prior, t))]
+        dense = t[np.argmax(log_f(v, t))]
         assert abs(p - dense) <= 1e-4 * max(1.0, abs(v)), v
-        assert left == min(v, p) - 13.0 and right == max(v, p) + 13.0
+        outer = (min(v, p) - 13.0, max(v, p) + 13.0)
+        assert outer[0] <= left <= p <= right <= outer[1], v
+        for end, bound in ((left, outer[0]), (right, outer[1])):
+            assert end == bound or log_f(v, end) < m - 750.0, v
+        for anchor in (0.0, v):
+            if outer[0] <= anchor <= outer[1] and log_f(v, anchor) >= m - 750.0:
+                assert left <= anchor <= right, (v, anchor)
     assert np.array_equal(top, log_phi(x - peak) + log_g(prior, peak))
+
+
+def test_light_slab_far_from_zero_meshes_only_its_mass():
+    # the window of exp-power(2, 1e-3) at x = 1e4 ends where the integrand
+    # underflows, near its peak at 0.005, not at x
+    values = SlabValues(exp_power_slab(2.0, 1e-3), np.array([1e4]))
+    assert values.panels[0] < 200
+
+
+def test_narrow_peak_far_from_zero_builds_without_quadrature_error():
+    # exp-power(1.5, 1e-3) at |x| = 1e4 peaks 0.044 from 0 with width 0.003:
+    # the knots at multiples of that width resolve it
+    x = np.array([1e4, -1e4])
+    values = SlabValues(exp_power_slab(1.5, 1e-3), x)
+    assert values.quadrature_error <= 10.0 * _QUAD_TOL + np.finfo(float).eps * 5e7
+    assert np.all(np.isfinite(values.log_psi)) and np.all(np.sign(values.shrinkage) == np.sign(x))
 
 
 # -- the slab functions of a block ---------------------------------------------------
