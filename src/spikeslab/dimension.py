@@ -47,14 +47,8 @@ class DimensionPrior:
             raise ValueError(f"log_pmf is not normalized (log-sum-exp = {total:.3e})")
 
     def log_model_weights(self) -> np.ndarray:
-        """Vector of log pi_n(p) - log C(n, p), p = 0..n.  A binomial(n,
-        alpha) prior forms it directly, p log alpha + (n - p) log(1 - alpha)
-        minus the normaliser of its pmf, so no log C(n, p) cancels."""
-        log_binom = _log_binomials(self.n)
-        if self.family is DimensionFamily.BINOMIAL:
-            w = _binomial_log_terms(self.n, self.params[0])
-            return w - _logsumexp(log_binom + w)
-        return self.log_pmf - log_binom
+        """Vector of log pi_n(p) - log C(n, p), p = 0..n."""
+        return self.log_pmf - _log_binomials(self.n)
 
 
 @lru_cache(maxsize=16)
@@ -70,12 +64,6 @@ def _log_binomials(n: int) -> np.ndarray:
     """log C(n, p), p = 0..n."""
     f = _log_factorials(n)
     return f[-1] - f - f[::-1]
-
-
-def _binomial_log_terms(n: int, alpha: float) -> np.ndarray:
-    """p log alpha + (n - p) log(1 - alpha), p = 0..n."""
-    p = np.arange(n + 1, dtype=float)
-    return p * np.log(alpha) + (n - p) * np.log1p(-alpha)
 
 
 def _normalized(n: int, log_weights: np.ndarray, family: DimensionFamily, params: tuple) -> DimensionPrior:
@@ -118,7 +106,8 @@ def binomial_prior(n: int, alpha: float) -> DimensionPrior:
     """Binomial(n, alpha) prior on dimension; alpha strictly inside (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
-    w = _log_binomials(n) + _binomial_log_terms(n, alpha)
+    p = np.arange(n + 1, dtype=float)
+    w = _log_binomials(n) + p * np.log(alpha) + (n - p) * np.log1p(-alpha)
     return _normalized(n, w, DimensionFamily.BINOMIAL, (alpha,))
 
 

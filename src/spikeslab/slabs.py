@@ -27,7 +27,7 @@ scaled by its observation's peak, is then independent, so the rule runs on
 fixed slices of panels whatever observations they cut.  A mesh is graded
 toward the origin only down to the length scale of g there
 (_graded_knots): to 1e-13 where g has a kink, not at all for a unit-scale
-Student slab; and toward a peak narrower than the uniform spacing at
+Student slab; and toward a peak that those knots leave unresolved, at
 multiples of its width (_peak_width).  Only the closed forms import
 scipy.special, on first use.  log_psi, posterior_shrinkage, zeta and
 second_moment_ratio read a SlabValues.
@@ -162,6 +162,11 @@ _PANELS_PER_HALFWIDTH = 32  # panels across _QUAD_HALFWIDTH, at most
 _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
 # knots at these multiples of the integrand's width at its peak (_peak_width)
 _PEAK_KNOTS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+# ... added only where the other knots at the peak are more than this many
+# widths apart: on a Gaussian panel from its peak, |G10 - K21| / K21 is 1e-15
+# at 2.26 widths (Student(3) near 0, between graded knots), 2.5e-14 at 2.5,
+# 1.4e-10 at 4 and 1.3e-7 at 6
+_PEAK_SPAN = 2.5
 # a window ends where the log integrand is this far below its peak value:
 # beyond, every node of a panel scaled at the peak underflows (e^-745 is the
 # least double)
@@ -299,9 +304,9 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
     The knots of an entry span its window [lo, hi] (_windows): a uniform
     spacing of at most _QUAD_HALFWIDTH / 32, the kinks at 0 and x, the
     peak, the peak +/- _QUAD_HALFWIDTH, the graded knots of the slab
-    (_graded_knots) and, where the integrand's width at its peak
-    (_peak_width) is below the uniform spacing, the peak +/- _PEAK_KNOTS
-    times that width.
+    (_graded_knots) and, where the uniform and graded knots at the peak are
+    more than _PEAK_SPAN times the integrand's width there (_peak_width)
+    apart, the peak +/- _PEAK_KNOTS times that width.
     """
     n = x.size
     count = np.ceil(_PANELS_PER_HALFWIDTH * (hi - lo) / _QUAD_HALFWIDTH).astype(int) + 1
@@ -312,8 +317,12 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
     grid = (np.arange(ends[-1]) - (ends - count)[owner]) * step[owner] + lo[owner]
     grid[ends - 1] = hi
     graded = _graded_knots(prior)
+    # the spacing of the uniform and graded knots at the peak
+    levels = np.concatenate([[0.0], graded[graded > 0.0][::-1]])
+    k = np.searchsorted(levels, np.abs(peak), side="right")
+    gap = np.diff(levels, append=np.inf)[k - 1]
     width = _peak_width(prior, peak)
-    width = np.where(width < _QUAD_HALFWIDTH / _PANELS_PER_HALFWIDTH, width, 0.0)
+    width = np.where(_PEAK_SPAN * width < np.minimum(step, gap), width, 0.0)
     points = np.column_stack([peak, peak - _QUAD_HALFWIDTH, peak + _QUAD_HALFWIDTH, np.zeros(n), x,
                               np.broadcast_to(graded, (n, graded.size)),
                               peak[:, None] + width[:, None] * _PEAK_KNOTS])

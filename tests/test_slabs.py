@@ -385,6 +385,19 @@ def test_tables_report_their_error_and_panel_counts():
     assert closed.quadrature_error == 0.0 and not closed.panels.any()
 
 
+def test_kronrod_rule_constants():
+    # the embedded rule is 10-point Gauss-Legendre, and the 21-point Kronrod
+    # rule integrates t^k exactly on [-1, 1] up to degree 3 * 10 + 1 = 31
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(slabs._NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(slabs._GAUSS, weights, rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(slabs._NODES) > 0.0)
+    k = np.arange(32)
+    exact = np.where(k % 2 == 0, 2.0 / (k + 1.0), 0.0)
+    moments = (slabs._NODES[None, :] ** k[:, None] * slabs._KRONROD).sum(axis=1)
+    assert np.allclose(moments, exact, rtol=0.0, atol=1e-15)
+
+
 # -- quadrature failure surfacing -------------------------------------------------
 
 
