@@ -41,9 +41,12 @@ def hard_threshold_oracle(x, p_n: int) -> np.ndarray:
     return np.where(np.abs(x) > thr, x, 0.0)
 
 
-def dq_loss(a, b, spec: LossSpec) -> float:
+def dq_loss(a, b, spec: LossSpec):
+    """d_q over the last axis of arrays a and b of equal shape: a float for
+    vectors, one loss per leading index otherwise."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise ValueError("dq_loss needs vectors of equal length")
-    return float(np.sum(np.abs(a - b) ** spec.q))
+        raise ValueError("dq_loss needs arrays of equal shape")
+    loss = np.sum(np.abs(a - b) ** spec.q, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss

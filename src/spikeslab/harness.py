@@ -4,6 +4,7 @@ desk-scale theory checks, and credible-interval data emission."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -127,7 +128,12 @@ def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=()):
 def _replication_block(spec: SignalSpec, seed: int, reps: int, stream_key=()):
     """theta0 and x of replications 0, ..., reps - 1 of spec, one row each."""
     data = [generate_data(spec, seed, rep, stream_key) for rep in range(reps)]
-    return np.array([theta for theta, _ in data]), np.array([x for _, x in data])
+    return tuple(map(np.array, zip(*data)))
+
+
+def _rows(posts: list[Posterior], name: str) -> np.ndarray:
+    """One field of the posteriors of a block, one row per posterior."""
+    return np.array([getattr(post, name) for post in posts])
 
 
 def _identity_errors(posts: list[Posterior], shrinkage: np.ndarray) -> tuple[float, float]:
@@ -136,12 +142,11 @@ def _identity_errors(posts: list[Posterior], shrinkage: np.ndarray) -> tuple[flo
     pmf, and the mean against q times the block's shrinkage zeta/psi, which
     the slab layer takes on the log scale so it stays finite where psi
     underflows.  A NaN gap propagates."""
-    q = np.array([post.inclusion_prob for post in posts])
-    pmf = np.exp(np.array([post.dim_log_pmf for post in posts]))
+    q = _rows(posts, "inclusion_prob")
+    pmf = np.exp(_rows(posts, "dim_log_pmf"))
     expected_dim = np.sum(np.arange(pmf.shape[1]) * pmf, axis=1)
     dim_err = np.max(np.abs(q.sum(axis=1) - expected_dim))
-    mean = np.array([post.mean for post in posts])
-    return float(dim_err), float(np.max(np.abs(mean - q * shrinkage)))
+    return float(dim_err), float(np.max(np.abs(_rows(posts, "mean") - q * shrinkage)))
 
 
 def _grid(config: ExperimentConfig) -> list[tuple[int, float]]:
@@ -154,15 +159,16 @@ _POSTERIOR_ESTIMATORS = (("PM1", "PMed1"), ("PM2", "PMed2"), ("EBM", "EBMed"))
 
 def _table_block(config: ExperimentConfig, priors: dict, rep: int):
     """One replication of every grid cell, fitted as one (cells x n) block:
-    per cell the losses of every estimator, and the block's largest identity
-    gaps.  priors maps PM1 and PM2 to their dimension priors; EBM fits each
-    row under the binomial prior at the row's EB weight."""
+    the losses of shape (estimators, cells, exponents), in the order of
+    config.estimators, _grid and config.qs, and the identity gaps of each
+    set of posterior fits (_identity_errors).  priors maps PM1 and PM2 to
+    their dimension priors; EBM fits each row under the binomial prior at
+    the row's EB weight."""
     grid = _grid(config)
     data = [generate_data(SignalSpec(config.n, p_n, amplitude, config.placement),
                           config.seed, rep, stream_key=(ci,))
             for ci, (p_n, amplitude) in enumerate(grid)]
-    theta0 = np.array([theta for theta, _ in data])
-    X = np.array([x for _, x in data])
+    theta0, X = map(np.array, zip(*data))
     wanted = set(config.estimators)
     layer = SlabLayer(config.slab, X)
     kinds = [names for names in _POSTERIOR_ESTIMATORS if wanted & set(names)]
@@ -172,15 +178,10 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
         prior_sets = [eb if prior is None else prior for prior in prior_sets]
     # one inclusion sweep for every coupled set of priors
     fits = layer.fit_each(prior_sets, quantiles=False)
-    estimates = {}
-    dim_err = mean_err = 0.0
-    for (mean_name, _), posts in zip(kinds, fits):
-        d, m = _identity_errors(posts, layer.values.shrinkage)
-        dim_err = float(np.maximum(dim_err, d))  # NaN propagates
-        mean_err = float(np.maximum(mean_err, m))
-        estimates[mean_name] = [post.mean for post in posts]
+    gaps = [_identity_errors(posts, layer.values.shrinkage) for posts in fits]
+    estimates = {mean_name: _rows(posts, "mean") for (mean_name, _), posts in zip(kinds, fits)}
     # the medians of every set from one quantile pass; the table reads no bounds
-    medians = [(median_name, [post.inclusion_prob for post in posts])
+    medians = [(median_name, _rows(posts, "inclusion_prob"))
                for (_, median_name), posts in zip(kinds, fits) if median_name in wanted]
     if medians:
         names, q = zip(*medians)
@@ -190,15 +191,11 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
     if "HTO" in wanted:
         estimates["HTO"] = [est.hard_threshold_oracle(x, max(p_n, 1))
                             for x, (p_n, _) in zip(X, grid)]
-
-    losses = [{} for _ in grid]
-    for name, theta_hats in estimates.items():
-        if name not in wanted:
-            continue
-        for ci, theta_hat in enumerate(theta_hats):
-            for q in config.qs:
-                losses[ci][(name, q)] = est.dq_loss(theta_hat, theta0[ci], est.LossSpec(q))
-    return losses, dim_err, mean_err
+    theta_hat = np.array([estimates[name] for name in config.estimators])
+    theta0 = np.broadcast_to(theta0, theta_hat.shape)
+    losses = np.stack([est.dq_loss(theta_hat, theta0, est.LossSpec(q)) for q in config.qs],
+                      axis=-1)
+    return losses, gaps
 
 
 def _table_task(args):
@@ -224,30 +221,25 @@ def run_table(config: ExperimentConfig) -> ResultTable:
         raw = [_table_task(t) for t in tasks]
 
     # deterministic ordered reduction, independent of worker scheduling
-    failures = []
-    per_cell = [{} for _ in grid]
-    dim_err = mean_err = 0.0
-    for rep, payload, error in raw:
-        if error is not None:
-            failures.extend({"p_n": p_n, "A": amp, "rep": rep, "error": error}
-                            for p_n, amp in grid)
-            continue
-        losses, d_err, m_err = payload
-        dim_err = float(np.maximum(dim_err, d_err))  # NaN propagates
-        mean_err = float(np.maximum(mean_err, m_err))
-        for ci, cell_losses in enumerate(losses):
-            for key, val in cell_losses.items():
-                per_cell[ci].setdefault(key, []).append(val)
-
+    failures = [{"p_n": p_n, "A": amp, "rep": rep, "error": error}
+                for rep, _, error in raw if error is not None for p_n, amp in grid]
+    blocks = [payload for _, payload, error in raw if error is None]
+    # the largest gaps of every fit, 0 without one; a NaN gap propagates
+    dim_err, mean_err = np.max([(0.0, 0.0)] + [g for _, gaps in blocks for g in gaps],
+                               axis=0).tolist()
     cells = {}
-    for ci, (p_n, amp) in enumerate(grid):
-        for (name, q), vals in per_cell[ci].items():
-            vals = np.asarray(vals)
-            se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-            cells[(name, p_n, amp, float(q))] = CellStats(
-                mean_loss=float(vals.mean()), se=se, reps=vals.size,
-                complete=not failures,  # a failed replication misses every cell
-            )
+    if blocks:
+        # (estimators, cells, exponents, replications): each cell reduces
+        # over one contiguous row, as the vector of its losses would
+        losses = np.stack([losses for losses, _ in blocks], axis=-1)
+        reps = losses.shape[-1]
+        # one replication has no standard error; its cells share one 0.0
+        se = ((losses.std(axis=-1, ddof=1) / math.sqrt(reps)).flat if reps > 1
+              else itertools.repeat(0.0))
+        keys = itertools.product(config.estimators, grid, config.qs)
+        # a failed replication misses every cell
+        cells = {(name, p_n, amp, float(q)): CellStats(float(m), float(s), reps, not failures)
+                 for (name, (p_n, amp), q), m, s in zip(keys, losses.mean(axis=-1).flat, se)}
     return ResultTable(cells=cells, failures=failures, identity_dim_err=dim_err,
                        identity_mean_err=mean_err, config=config)
 
@@ -273,14 +265,10 @@ def run_dimension_check(n: int, p_n: int, amplitude: float, M_grid, reps: int,
     slab = slab if slab is not None else laplace_slab()
     M_grid = sorted(float(M) for M in M_grid)
     _, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps)
-    tails = np.zeros(len(M_grid))
-    for post in fit_many(X, dim_prior, slab, quantiles=False):
-        pmf = np.exp(post.dim_log_pmf)
-        for j, M in enumerate(M_grid):
-            tails[j] += pmf[int(math.floor(M * p_n)) + 1 :].sum()
-    tails /= reps
+    pmf = np.exp(_rows(fit_many(X, dim_prior, slab, quantiles=False), "dim_log_pmf"))
+    tails = [float(pmf[:, math.floor(M * p_n) + 1:].sum(axis=1).mean()) for M in M_grid]
     passing = [M for M, t in zip(M_grid, tails) if t < 0.01]
-    return DimensionCheckReport(rows=list(zip(M_grid, tails.tolist())),
+    return DimensionCheckReport(rows=list(zip(M_grid, tails)),
                                 smallest_passing_M=passing[0] if passing else None,
                                 n=n, p_n=p_n)
 
@@ -305,12 +293,9 @@ def run_contraction_check(n: int, pn_grid, amplitude: float, reps: int,
         theta0, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps,
                                        stream_key=(p_n,))
         layer = SlabLayer(slab, X)
-        risks = []
-        for post, t0, m2 in zip(layer.fit(dim_prior, quantiles=False), theta0,
-                                layer.values.second_moment):
-            risks.append(float(np.sum(post.inclusion_prob * m2 - 2.0 * t0 * post.mean
-                                      + t0**2)))
-        avg = float(np.mean(risks))
+        posts = layer.fit(dim_prior, quantiles=False)
+        avg = float(np.mean(np.sum(_rows(posts, "inclusion_prob") * layer.values.second_moment
+                                   - 2.0 * theta0 * _rows(posts, "mean") + theta0**2, axis=1)))
         rows.append((p_n, avg, avg / (p_n * math.log(n / p_n))))
     ratios = [r[2] for r in rows]
     return ContractionCheckReport(rows=rows, ratio_spread=max(ratios) / min(ratios))
@@ -334,11 +319,8 @@ def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
     rows = []
     for ai, A in enumerate(A_grid):
         theta0, X = _replication_block(SignalSpec(n, p_n, A), seed, reps, stream_key=(ai,))
-        risk = [0.0, 0.0]
-        for k, slab in enumerate(slabs):
-            for post, t0 in zip(fit_many(X, dim_prior, slab, quantiles=False), theta0):
-                risk[k] += est.dq_loss(post.mean, t0, loss2)
-        lap, gau = risk[0] / reps, risk[1] / reps
+        means = [_rows(fit_many(X, dim_prior, slab, quantiles=False), "mean") for slab in slabs]
+        lap, gau = (float(est.dq_loss(mean, theta0, loss2).mean()) for mean in means)
         rows.append((A, lap, gau, gau / lap))
     return ShrinkageDemoReport(rows=rows)
 

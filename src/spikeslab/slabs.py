@@ -164,8 +164,9 @@ _GRADED = 2.0 ** -np.arange(1.0, 44.0)  # knot offsets 0.5 down to 1.1e-13
 _PEAK_KNOTS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 # ... added only where the other knots at the peak are more than this many
 # widths apart: on a Gaussian panel from its peak, |G10 - K21| / K21 is 1e-15
-# at 2.26 widths (Student(3) near 0, between graded knots), 2.5e-14 at 2.5,
-# 1.4e-10 at 4 and 1.3e-7 at 6
+# at 2.26 widths (Student(3, 1e-3) near 0, between graded knots), 2.5e-14 at
+# 2.5, 1.4e-10 at 4 and 1.3e-7 at 6; a Student mode at 0 away from the peak
+# is left to the graded knots down to s (_graded_knots)
 _PEAK_SPAN = 2.5
 # a window ends where the log integrand is this far below its peak value:
 # beyond, every node of a panel scaled at the peak underflows (e^-745 is the
@@ -286,13 +287,11 @@ def _peak_width(prior: SlabPrior, t: np.ndarray) -> np.ndarray:
 def _graded_knots(prior: SlabPrior) -> np.ndarray:
     """The knots +/- 2^-k toward the origin, down to the length scale of g
     near 0: all 43 levels (to 1.1e-13) where g has a kink at 0
-    (exponential-power with alpha < 2), down to s sqrt(nu) for a Student
-    slab and to s for exponential-power with alpha = 2, which are smooth and
-    flat below that scale."""
-    if prior.family is SlabFamily.STUDENT:
-        floor = prior.scale * math.sqrt(prior.shape)
-    else:
-        floor = prior.scale if prior.shape == 2.0 else 0.0
+    (exponential-power with alpha < 2), and down to s for the smooth slabs,
+    Student and exponential-power with alpha = 2: a Student mode at 0 is
+    s sqrt(nu / (nu + 1)) wide, within 2.5 widths of a knot for every nu > 2."""
+    smooth = prior.family is SlabFamily.STUDENT or prior.shape == 2.0
+    floor = prior.scale if smooth else 0.0
     graded = _GRADED[_GRADED >= floor]
     return np.concatenate([-graded, graded])
 

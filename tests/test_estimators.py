@@ -100,6 +100,23 @@ def test_dq_loss_length_mismatch():
         dq_loss(np.zeros(3), np.zeros(4), LossSpec(1.0))
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_dq_loss_batched_over_leading_axes(q):
+    # one call on an (E, C, n) pair gives the (E, C) losses of its rows, bit
+    # for bit those of one call per row
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 4, 500))
+    b = rng.normal(size=(4, 500))
+    spec = LossSpec(q)
+    batched = dq_loss(a, np.broadcast_to(b, a.shape), spec)
+    assert batched.shape == (3, 4)
+    for e, c in np.ndindex(3, 4):
+        assert batched[e, c] == dq_loss(a[e, c], b[c], spec)
+    assert type(dq_loss(a[0, 0], b[0], spec)) is float
+    with pytest.raises(ValueError):
+        dq_loss(a, b, spec)  # the truth must be broadcast to the estimates' shape
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     a=st.lists(st.floats(-50, 50), min_size=1, max_size=12),

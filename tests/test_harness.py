@@ -197,6 +197,26 @@ def test_run_table_noiseless_thresholding(monkeypatch):
     assert table.cell("HT", 5, 5.0, 1.0).mean_loss == 0.0
 
 
+def test_run_table_cells_match_per_replication_losses():
+    # every (estimator, p_n, A, q) cell holds the mean and standard error of
+    # its own losses, one d_q per replication, computed here one at a time
+    from spikeslab import LossSpec, dq_loss, hard_threshold, hard_threshold_oracle
+
+    config = ExperimentConfig(n=60, pn_grid=(3, 6), amplitudes=(3.0, 5.0), replications=3,
+                              estimators=("HTO", "HT"), qs=(2.0, 0.5), seed=8)
+    table = run_table(config)
+    for ci, (p_n, amp) in enumerate(harness._grid(config)):
+        data = [generate_data(SignalSpec(60, p_n, amp), 8, rep, stream_key=(ci,))
+                for rep in range(3)]
+        for name, rule in (("HT", hard_threshold),
+                           ("HTO", lambda x: hard_threshold_oracle(x, p_n))):
+            for q in config.qs:
+                losses = np.array([dq_loss(rule(x), theta0, LossSpec(q)) for theta0, x in data])
+                cell = table.cell(name, p_n, amp, q)
+                assert cell.mean_loss == losses.mean()
+                assert cell.se == losses.std(ddof=1) / math.sqrt(3)
+
+
 def test_run_table_se_shrinks_with_reps():
     def se_at(reps):
         config = ExperimentConfig(

@@ -362,7 +362,7 @@ def _mp_log_psi_and_shrinkage(prior: SlabPrior, x: float):
 )
 def test_panel_tables_match_high_precision_on_the_tail_grid(prior):
     # independent of the mesh: a Student slab is graded toward 0 only down
-    # to s sqrt(nu); psi is even and zeta / psi odd in x
+    # to s; psi is even and zeta / psi odd in x
     values = SlabValues(prior, TAIL_GRID)
     refs = {x: _mp_log_psi_and_shrinkage(prior, x) for x in TAIL_GRID[TAIL_GRID >= 0].tolist()}
     for k, x in enumerate(TAIL_GRID):
@@ -377,7 +377,7 @@ def test_tables_report_their_error_and_panel_counts():
     assert 0.0 <= values.quadrature_error <= 10.0 * _QUAD_TOL
     assert values.panels.shape == TAIL_GRID.shape
     # windows that hold 0: the smooth Student slab takes no knots finer than
-    # s sqrt(nu) toward 0, the kink of exp-power(0.5) all 43 levels
+    # s toward 0, the kink of exp-power(0.5) all 43 levels
     x = np.array([0.0, 1.3, -4.0])
     assert np.all(SlabValues(student_slab(3.0), x).panels < 100)
     assert np.all(SlabValues(exp_power_slab(0.5), x).panels >= 150)
@@ -534,6 +534,21 @@ def test_narrow_peak_far_from_zero_builds_without_quadrature_error():
     values = SlabValues(exp_power_slab(1.5, 1e-3), x)
     assert values.quadrature_error <= 10.0 * _QUAD_TOL + np.finfo(float).eps * 5e7
     assert np.all(np.isfinite(values.log_psi)) and np.all(np.sign(values.shrinkage) == np.sign(x))
+
+
+def test_student_mode_at_zero_is_resolved_far_from_it():
+    # Student(10, 0.01) at |x| near 11.4: the global peak lies near x, and
+    # the second mode at 0, s sqrt(nu / (nu + 1)) = 0.0095 wide, is resolved
+    # only by the knots graded toward 0 down to s
+    prior = student_slab(10.0, 0.01)
+    x = np.array([-11.33, 11.33, 11.4, 11.45, 11.53])
+    values = SlabValues(prior, x)
+    refs = {v: _mp_log_psi_and_shrinkage(prior, v) for v in set(np.abs(x).tolist())}
+    for k, xk in enumerate(x):
+        log_psi_ref, shrinkage_ref = refs[abs(xk)]
+        assert values.log_psi[k] == pytest.approx(log_psi_ref, rel=1e-9), xk
+        assert values.shrinkage[k] == pytest.approx(math.copysign(shrinkage_ref, xk),
+                                                    rel=1e-9), xk
 
 
 # -- the slab functions of a block ---------------------------------------------------
