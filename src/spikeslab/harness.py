@@ -143,9 +143,7 @@ def _identity_errors(posts: list[Posterior], shrinkage: np.ndarray) -> tuple[flo
     the slab layer takes on the log scale so it stays finite where psi
     underflows.  A NaN gap propagates."""
     q = _rows(posts, "inclusion_prob")
-    pmf = np.exp(_rows(posts, "dim_log_pmf"))
-    expected_dim = np.sum(np.arange(pmf.shape[1]) * pmf, axis=1)
-    dim_err = np.max(np.abs(q.sum(axis=1) - expected_dim))
+    dim_err = np.max(np.abs(q.sum(axis=1) - _rows(posts, "expected_dimension")))
     return float(dim_err), float(np.max(np.abs(_rows(posts, "mean") - q * shrinkage)))
 
 

@@ -14,11 +14,12 @@ A block of R observation vectors of one length is fitted as one: its slab
 functions are evaluated once (SlabLayer) and each sweep of the polynomial
 layer runs over all R rows at a time (fit_many); fit is the block of one.
 Several sets of priors on one block share its inclusion sweep
-(SlabLayer.fit_each), and every median and credible bound of a fit comes
-from one slab quantile pass (_marginal_quantiles).  The empirical-Bayes
-weights of a block's rows come from one batched bisection on the score of
-their log-likelihoods (SlabLayer.eb_binomial_weights); eb_binomial_weight
-is the one-row case.
+(SlabLayer.fit_each).  Every marginal quantile, the median at level 1/2
+included, comes from one level formula (_marginal_quantiles), and the
+medians and credible bounds of a fit take one slab quantile pass.  The
+empirical-Bayes weights of a block's rows come from one batched bisection
+on the score of their log-likelihoods (SlabLayer.eb_binomial_weights);
+eb_binomial_weight is the one-row case.
 """
 
 from __future__ import annotations
@@ -47,38 +48,28 @@ def validate_observations(x) -> np.ndarray:
 # -- marginal quantiles over the flattened coordinates of a SlabValues
 
 
-def _marginal_quantiles(values: SlabValues, q, levels=(), median: bool = False) -> np.ndarray:
+def _marginal_quantiles(values: SlabValues, q, levels) -> np.ndarray:
     """Marginal posterior quantiles of coordinates at inclusion probabilities
-    q, which cycle over the flattened values.x: one row per level and, when
-    median, a last row of medians.
+    q, which cycle over the flattened values.x: one row per level.
 
     Each marginal is an atom of size 1 - q at zero plus q times the slab
-    posterior, so a quantile is zero or a slab quantile at an adjusted
-    level.  A level below the atom takes level / q, one above it
-    (level - (1 - q)) / q.  A median is zero where q <= 1/2; else a negative
-    median solves q H(m) = 1/2 and takes 1/(2q) when H(0) >= 1/(2q), a
-    positive one takes 1 - 1/(2q) when H(0) < 1 - 1/(2q), and otherwise the
-    median is zero.  Every (coordinate, level) off the atom goes into one
-    SlabValues.quantile call.
+    posterior, whose cdf H increases strictly, so a quantile is zero or a
+    slab quantile at an adjusted level.  A level below the atom,
+    level < q H(0), takes level / q; one above it, level > q H(0) + 1 - q,
+    takes (level - (1 - q)) / q; every other level is zero.  The median is
+    the level 1/2, so it is zero wherever q <= 1/2.  Every (coordinate,
+    level) off the atom goes into one SlabValues.quantile call.
     """
     k = np.arange(q.size) % values.x.size
-    cdf_at_zero = np.take(values.cdf_at_zero, k)
-    out = np.zeros((len(levels) + median, q.size))
+    out = np.zeros((len(levels), q.size))
     where, tau = [], []  # flat positions in out and their slab levels
-    atom_lo = q * np.where(q > 0.0, cdf_at_zero, 0.5)
+    atom_lo = q * np.where(q > 0.0, np.take(values.cdf_at_zero, k), 0.5)
     atom_hi = atom_lo + (1.0 - q)
     for row, level in enumerate(levels):
-        below = np.flatnonzero(level <= atom_lo)
+        below = np.flatnonzero(level < atom_lo)
         above = np.flatnonzero(level > atom_hi)
         where += [row * q.size + below, row * q.size + above]
         tau += [level / q[below], (level - (1.0 - q[above])) / q[above]]
-    if median:
-        half = np.flatnonzero(q > 0.5)
-        inv2q = 1.0 / (2.0 * q[half])
-        lower = cdf_at_zero[half] >= inv2q
-        upper = cdf_at_zero[half] < 1.0 - inv2q
-        where += [len(levels) * q.size + half[lower], len(levels) * q.size + half[upper]]
-        tau += [inv2q[lower], 1.0 - inv2q[upper]]
     where = np.concatenate(where)
     out.flat[where] = values.quantile(k[where % q.size], np.concatenate(tau))
     return out
@@ -166,11 +157,9 @@ class Posterior:
                                          (level,))[0, 0])
 
     def coordinatewise_median(self, i: int) -> float:
-        """Median of the marginal posterior of coordinate i; exactly zero
-        whenever the inclusion probability is at most 1/2."""
-        self._check_index(i)
-        return float(_marginal_quantiles(self._values(i), self.inclusion_prob[[i]],
-                                         median=True)[0, 0])
+        """Median of the marginal posterior of coordinate i, its quantile at
+        1/2; exactly zero whenever the inclusion probability is at most 1/2."""
+        return self.marginal_quantile(i, 0.5)
 
     def _values(self, i: int) -> SlabValues:
         return _coordinate_values(self.slab, float(self.x[i]))
@@ -238,11 +227,11 @@ class SlabLayer:
         all rows or a sequence of one per row.  Every prior reads the one
         normalised product F' of the factors (logpoly): its dimension pmf is
         lambda + F' - log Z', and sum_i log1p(r_i) enters only its log
-        partition function.  The sets that hold a non-binomial prior share
-        one forward-backward pass over all the rows, whose centred numerators
-        give log q_i = log s_i + numerator; binomial rows take q in closed
-        form.  levels are the two levels lo < hi in (0, 1) of the credible
-        bounds."""
+        partition function.  A set of binomial priors alone takes q in closed
+        form; every other set, binomial rows included, shares one pass over
+        all the rows, whose centred numerators give log q_i = log s_i +
+        numerator.  levels are the levels lo < hi in (0, 1) of the credible
+        bounds; one quantile pass inverts them and the median, level 1/2."""
         levels = tuple(levels)
         if not (len(levels) == 2 and 0.0 < levels[0] < levels[1] < 1.0):
             raise ValueError(f"credible levels must be two levels 0 < lo < hi < 1, got {levels}")
@@ -250,34 +239,30 @@ class SlabLayer:
             return []
         sets, lam = zip(*(self._row_priors(priors) for priors in prior_sets))
         lam = np.array(lam)  # (sets, R, n + 1)
-        binomial = np.array([[p.family is DimensionFamily.BINOMIAL for p in priors]
-                             for priors in sets])
-        swept = ~binomial.all(axis=1)
+        closed = np.array([all(p.family is DimensionFamily.BINOMIAL for p in priors)
+                           for priors in sets])
         log_r = self.log_r
-        log_Z = np.empty(lam.shape[:2])  # log Z', of the normalised product
         log_q = np.empty(lam.shape[:2] + log_r.shape[1:])
-        if swept.any():
-            F, centre, num = inclusion_log_numerators(log_r, lam[swept].transpose(1, 0, 2))
-            log_Z[swept] = centre.T
-            log_q[swept] = np.minimum(log_expit(log_r) + np.moveaxis(num, 1, 0), 0.0)
-        else:
+        if closed.all():
             F = _forward(log_r)
-        log_Z[~swept] = _logsumexp(lam[~swept] + F)
+        else:
+            F, _, num = inclusion_log_numerators(log_r, lam[~closed].transpose(1, 0, 2))
+            log_q[~closed] = np.minimum(log_expit(log_r) + np.moveaxis(num, 1, 0), 0.0)
+        for k in np.flatnonzero(closed):
+            # a binomial dimension prior makes the coordinates independent:
+            # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
+            alpha = np.array([p.params[0] for p in sets[k]])[:, None]
+            log_q[k] = log_expit(np.log(alpha) - np.log1p(-alpha) + log_r)
+        log_Z = _logsumexp(lam + F)  # log Z', of the normalised product
         dim_log_pmf = lam + F - log_Z[:, :, None]
         log_partition = log_Z + np.sum(np.logaddexp(0.0, log_r), axis=1)
-        # binomial dimension prior makes the coordinates independent:
-        # posterior odds of inclusion are (alpha psi) / ((1 - alpha) phi)
-        alpha = np.array([p.params[0] for priors, b in zip(sets, binomial)
-                          for p, is_b in zip(priors, b) if is_b])[:, None]
-        lr = np.broadcast_to(log_r, log_q.shape)[binomial]
-        log_q[binomial] = log_expit(np.log(alpha) - np.log1p(-alpha) + lr)
         q = np.exp(log_q)
         mean = q * self.values.shrinkage
 
         fields = [np.broadcast_to(self.x, q.shape), q, mean]
         if quantiles:
-            lo, hi, median = _marginal_quantiles(self.values, q.ravel(), levels,
-                                                 median=True).reshape((3,) + q.shape)
+            lo, hi, median = _marginal_quantiles(self.values, q.ravel(),
+                                                 levels + (0.5,)).reshape((3,) + q.shape)
             fields += [median, lo, hi]
         coords = np.stack(fields, axis=2)  # (sets, R, fields, n)
         # copies: a Posterior kept alone does not keep its block alive
@@ -287,11 +272,14 @@ class SlabLayer:
                 for k, priors in enumerate(sets)]
 
     def medians(self, q) -> np.ndarray:
-        """Marginal posterior medians of the block's coordinates at inclusion
-        probabilities q, of shape (..., R, n): one quantile pass for any
-        number of fits of the block."""
+        """Marginal posterior medians of the block's coordinates, their
+        quantiles at 1/2, at inclusion probabilities q of shape (..., R, n):
+        one quantile pass for any number of fits of the block.  Raises
+        ValueError when the last two axes of q are not the block's."""
         q = np.asarray(q, dtype=float)
-        return _marginal_quantiles(self.values, q.ravel(), median=True).reshape(q.shape)
+        if q.shape[-2:] != self.x.shape:
+            raise ValueError(f"q of shape {q.shape} does not end in the block's {self.x.shape}")
+        return _marginal_quantiles(self.values, q.ravel(), (0.5,)).reshape(q.shape)
 
     def _row_priors(self, priors) -> tuple[list[DimensionPrior], np.ndarray]:
         """One DimensionPrior per row, checked against the block, and their

@@ -411,10 +411,8 @@ def test_brute_force_cdf_holds_a_light_slab_pulled_toward_zero():
     assert oracle.marginal_cdf(i, post.median[i]) == pytest.approx(0.5, abs=1e-10)
 
 
-# the oracle's grid median integrates by the trapezoid rule, whose error at the
-# cusp of exp(-|t|^0.5) at 0 moves a median near 0.2 by 7e-6; the
-# exp-power(0.5) medians are checked against the oracle's cdf above
-@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(1.5)], ids=str)
+@pytest.mark.parametrize("slab", [student_slab(3.0), exp_power_slab(0.5), exp_power_slab(1.5)],
+                         ids=str)
 def test_table_median_matches_brute_force(slab):
     post, oracle = _table_fit_and_oracle(slab)
     for i in range(post.x.size):
@@ -855,18 +853,19 @@ def test_fit_each_sweeps_each_coupled_set_over_every_row(monkeypatch):
 def _two_sided_quantiles(values, q, levels):
     """Medians and credible bounds of the coordinates at inclusion
     probabilities q (cycling over values.x) by the two-sided formulas: both
-    median levels inverted for every coordinate, and each bound inverted
-    below or above the atom at zero."""
+    median levels, 1/(2q) and (1/2 - (1 - q)) / q, inverted for every
+    coordinate, and each bound inverted below or above the atom at zero."""
     k = np.arange(q.size) % values.x.size
     cdf_at_zero = np.take(values.cdf_at_zero, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv2q = np.where(q > 0.0, 1.0 / (2.0 * np.maximum(q, 1e-300)), np.inf)
-        median = (np.maximum(values.quantile(k, 1.0 - inv2q), 0.0)
+        upper = np.where(q > 0.0, (0.5 - (1.0 - q)) / np.maximum(q, 1e-300), -np.inf)
+        median = (np.maximum(values.quantile(k, upper), 0.0)
                   + np.minimum(values.quantile(k, inv2q), 0.0))
         bounds = []
         for level in levels:
             atom_lo = q * np.where(q > 0.0, cdf_at_zero, 0.5)
-            below, above = level <= atom_lo, level > atom_lo + (1.0 - q)
+            below, above = level < atom_lo, level > atom_lo + (1.0 - q)
             tau = np.where(below, level / q, np.where(above, (level - (1.0 - q)) / q, 0.5))
             bounds.append(np.where(below | above, values.quantile(k, tau), 0.0))
     return median, bounds
@@ -902,9 +901,39 @@ def test_one_pass_quantiles_equal_the_two_sided_formulas(slab):
     # any q, including 0, exactly 1/2, the next float above it and 1
     q = np.array([0.0, 0.2, 0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-12, 0.6, 0.8, 0.95,
                   1.0 - 1e-15, 1.0])
-    q = np.stack([q, q[::-1]])
+    q = np.stack([q, q[::-1]])[:, None]  # two fits of the one-row block
     median, _ = _two_sided_quantiles(layer.values, q.ravel(), ())
     assert np.array_equal(layer.medians(q), median.reshape(q.shape))
+
+
+def test_median_is_the_quantile_at_one_half_near_q_one_half():
+    mp = pytest.importorskip("mpmath")
+    from spikeslab.posterior import _marginal_quantiles
+
+    # Laplace(1) at x = 10 has H(0) = 9.3e-20, so a q just above 1/2 puts the
+    # median above the atom at the slab level (q - 1/2) / q, which the level
+    # formula (1/2 - (1 - q)) / q gives exactly
+    layer = SlabLayer(laplace_slab(1.0), np.array([[10.0]]))
+    assert layer.values.cdf_at_zero[0, 0] < 1e-19
+    for q in (0.5 + 1e-12, 0.5 + 1e-9, 0.5 + 1e-6):
+        with mp.workdps(50):
+            level = float((mp.mpf(q) - mp.mpf(0.5)) / mp.mpf(q))
+        expected = layer.values.quantile(np.array([0]), np.array([level]))
+        assert np.array_equal(layer.medians([[q]]), expected[None])
+    # Student(3) at x = -1e4 has H(0) exactly 1: a level at the atom's lower
+    # edge, level == q H(0), is not below it, so the quantile is 0
+    layer = SlabLayer(student_slab(3.0), np.array([[-1e4]]))
+    assert layer.values.cdf_at_zero[0, 0] == 1.0
+    assert layer.medians([[0.5]])[0, 0] == 0.0
+    assert _marginal_quantiles(layer.values, np.array([0.025]), (0.025,))[0, 0] == 0.0
+
+
+def test_medians_reject_q_of_another_block_shape():
+    layer = SlabLayer(laplace_slab(), np.arange(6.0).reshape(2, 3))
+    assert layer.medians(np.full((4, 2, 3), 0.7)).shape == (4, 2, 3)
+    for shape in [(3, 2), (3,), (6,), (2, 3, 1)]:
+        with pytest.raises(ValueError, match="block"):
+            layer.medians(np.full(shape, 0.7))
 
 
 def test_student_fit_makes_one_peak_search_and_one_quantile_pass(monkeypatch):

@@ -1,5 +1,8 @@
 import re
+import shlex
 from pathlib import Path
+
+from spikeslab import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,17 @@ def test_library_use_block_runs():
     namespace = {}
     exec(compile(code, f"{README} (Library use)", "exec"), namespace)
     assert namespace["medians"].shape == (2, 20, 500)
+
+
+def test_command_line_examples_parse():
+    # every spikeslab line of the "## Command line" block, its backslash
+    # continuations joined, parses with the CLI's own parser, so a renamed
+    # or removed flag fails here instead of leaving the docs stale
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("spikeslab ")]
+    assert len(commands) == 6
+    parser = cli.make_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
