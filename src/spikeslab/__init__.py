@@ -25,11 +25,11 @@ from .harness import (
     run_table,
 )
 from .posterior import (
+    Fits,
     Posterior,
     SlabLayer,
     eb_binomial_weight,
     fit,
-    fit_many,
 )
 from .slabs import (
     QuadratureError,
@@ -39,11 +39,8 @@ from .slabs import (
     gaussian_slab,
     laplace_slab,
     log_g,
-    log_psi,
     posterior_shrinkage,
-    second_moment_ratio,
     student_slab,
-    zeta,
 )
 
 __version__ = "0.1.0"

@@ -199,27 +199,28 @@ def main(argv=None) -> int:
             return 1
 
     elif args.command == "dim-check":
-        rep = harness.run_dimension_check(
+        rep = usage(lambda: harness.run_dimension_check(
             args.n, args.pn, args.amp, args.M, args.reps,
             dim_prior=dim_prior(args.n), slab=slab, seed=args.seed,
-        )
+        ), "--n, --pn, --M or --reps")
         for M, mass in rep.rows:
             print(f"M={M:6.2f}  avg tail mass P(|S| > M p_n | X) = {mass:.6f}")
         print(f"smallest M with mass < 0.01: {rep.smallest_passing_M}")
 
     elif args.command == "contract-check":
-        rep = harness.run_contraction_check(
+        rep = usage(lambda: harness.run_contraction_check(
             args.n, args.pn, args.amp, args.reps,
             dim_prior=dim_prior(args.n), slab=slab, seed=args.seed,
-        )
+        ), "--n, --pn or --reps")
         for p_n, risk, ratio in rep.rows:
             print(f"p_n={p_n:4d}  avg posterior risk={risk:10.2f}  "
                   f"risk / (p_n log(n/p_n)) = {ratio:.3f}")
         print(f"ratio spread (max/min): {rep.ratio_spread:.3f}")
 
     elif args.command == "shrink-demo":
-        rep = harness.run_shrinkage_demo(args.n, args.pn, args.amp, args.reps,
-                                         seed=args.seed, kappa=args.kappa)
+        rep = usage(lambda: harness.run_shrinkage_demo(args.n, args.pn, args.amp, args.reps,
+                                                       seed=args.seed, kappa=args.kappa),
+                    "--n, --pn, --amp, --reps or --kappa")
         for A, lap, gau, ratio in rep.rows:
             print(f"A={A:5.2f}  laplace={lap:9.2f}  gaussian={gau:9.2f}  "
                   f"ratio={ratio:.3f}")

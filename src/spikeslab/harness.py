@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimators as est
 from .dimension import DimensionPrior, betabin_power_prior, binomial_prior, complexity_prior
-from .posterior import Posterior, SlabLayer, fit, fit_many
+from .posterior import Fits, Posterior, SlabLayer, fit
 from .slabs import SlabPrior, gaussian_slab, laplace_slab
 
 TABLE_ESTIMATORS = ("PM1", "PM2", "EBM", "PMed1", "PMed2", "EBMed", "HT", "HTO")
@@ -127,24 +127,21 @@ def generate_data(spec: SignalSpec, seed: int, rep: int = 0, stream_key=()):
 
 def _replication_block(spec: SignalSpec, seed: int, reps: int, stream_key=()):
     """theta0 and x of replications 0, ..., reps - 1 of spec, one row each."""
+    if reps < 1:
+        raise ValueError(f"need at least one replication, got {reps}")
     data = [generate_data(spec, seed, rep, stream_key) for rep in range(reps)]
     return tuple(map(np.array, zip(*data)))
 
 
-def _rows(posts: list[Posterior], name: str) -> np.ndarray:
-    """One field of the posteriors of a block, one row per posterior."""
-    return np.array([getattr(post, name) for post in posts])
-
-
-def _identity_errors(posts: list[Posterior], shrinkage: np.ndarray) -> tuple[float, float]:
-    """Largest dual-path identity gaps over the posteriors of one block:
-    sum of inclusion probabilities against the expected dimension from the
-    pmf, and the mean against q times the block's shrinkage zeta/psi, which
-    the slab layer takes on the log scale so it stays finite where psi
-    underflows.  A NaN gap propagates."""
-    q = _rows(posts, "inclusion_prob")
-    dim_err = np.max(np.abs(q.sum(axis=1) - _rows(posts, "expected_dimension")))
-    return float(dim_err), float(np.max(np.abs(_rows(posts, "mean") - q * shrinkage)))
+def _identity_errors(fits: Fits, shrinkage: np.ndarray) -> tuple[float, float]:
+    """Largest dual-path identity gaps over the fits of one block: sum of
+    inclusion probabilities against the expected dimension from the pmf,
+    and the mean against q times the block's shrinkage zeta/psi, which is 0
+    by construction (the fit forms its mean so) and guards the assembly of
+    the fields.  A NaN gap propagates."""
+    q = fits.inclusion_prob
+    dim_err = np.max(np.abs(q.sum(axis=1) - fits.expected_dimension))
+    return float(dim_err), float(np.max(np.abs(fits.mean - q * shrinkage)))
 
 
 def _grid(config: ExperimentConfig) -> list[tuple[int, float]]:
@@ -176,11 +173,11 @@ def _table_block(config: ExperimentConfig, priors: dict, rep: int):
         prior_sets = [eb if prior is None else prior for prior in prior_sets]
     # one inclusion sweep for every coupled set of priors
     fits = layer.fit_each(prior_sets, quantiles=False)
-    gaps = [_identity_errors(posts, layer.values.shrinkage) for posts in fits]
-    estimates = {mean_name: _rows(posts, "mean") for (mean_name, _), posts in zip(kinds, fits)}
+    gaps = [_identity_errors(block, layer.values.shrinkage) for block in fits]
+    estimates = {mean_name: block.mean for (mean_name, _), block in zip(kinds, fits)}
     # the medians of every set from one quantile pass; the table reads no bounds
-    medians = [(median_name, _rows(posts, "inclusion_prob"))
-               for (_, median_name), posts in zip(kinds, fits) if median_name in wanted]
+    medians = [(median_name, block.inclusion_prob)
+               for (_, median_name), block in zip(kinds, fits) if median_name in wanted]
     if medians:
         names, q = zip(*medians)
         estimates.update(zip(names, layer.medians(q)))
@@ -258,12 +255,15 @@ class DimensionCheckReport:
 def run_dimension_check(n: int, p_n: int, amplitude: float, M_grid, reps: int,
                         dim_prior: DimensionPrior | None = None,
                         slab: SlabPrior | None = None, seed: int = 0) -> DimensionCheckReport:
-    """Average posterior tail mass beyond M * p_n nonzero coordinates."""
+    """Average posterior tail mass beyond M * p_n nonzero coordinates, for
+    finite M >= 0."""
     dim_prior = dim_prior if dim_prior is not None else complexity_prior(n, 0.1)
     slab = slab if slab is not None else laplace_slab()
     M_grid = sorted(float(M) for M in M_grid)
+    if not all(0.0 <= M < math.inf for M in M_grid):
+        raise ValueError(f"M grid {M_grid} needs finite M >= 0")
     _, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps)
-    pmf = np.exp(_rows(fit_many(X, dim_prior, slab, quantiles=False), "dim_log_pmf"))
+    pmf = np.exp(SlabLayer(slab, X).fit(dim_prior, quantiles=False).dim_log_pmf)
     tails = [float(pmf[:, math.floor(M * p_n) + 1:].sum(axis=1).mean()) for M in M_grid]
     passing = [M for M, t in zip(M_grid, tails) if t < 0.01]
     return DimensionCheckReport(rows=list(zip(M_grid, tails)),
@@ -284,16 +284,17 @@ def run_contraction_check(n: int, pn_grid, amplitude: float, reps: int,
     p_n log(n / p_n) recovery-rate scale."""
     dim_prior = dim_prior if dim_prior is not None else complexity_prior(n, 0.1)
     slab = slab if slab is not None else laplace_slab()
+    pn_grid = list(pn_grid)
+    if not all(0 < p_n < n / 2 for p_n in pn_grid):
+        raise ValueError(f"contraction grid {pn_grid} requires 0 < p_n < n/2 = {n / 2:g}")
     rows = []
     for p_n in pn_grid:
-        if not 0 < p_n < n / 2:
-            raise ValueError("contraction grid requires 0 < p_n < n/2")
         theta0, X = _replication_block(SignalSpec(n, p_n, amplitude), seed, reps,
                                        stream_key=(p_n,))
         layer = SlabLayer(slab, X)
-        posts = layer.fit(dim_prior, quantiles=False)
-        avg = float(np.mean(np.sum(_rows(posts, "inclusion_prob") * layer.values.second_moment
-                                   - 2.0 * theta0 * _rows(posts, "mean") + theta0**2, axis=1)))
+        fits = layer.fit(dim_prior, quantiles=False)
+        avg = float(np.mean(np.sum(fits.inclusion_prob * layer.values.second_moment
+                                   - 2.0 * theta0 * fits.mean + theta0**2, axis=1)))
         rows.append((p_n, avg, avg / (p_n * math.log(n / p_n))))
     ratios = [r[2] for r in rows]
     return ContractionCheckReport(rows=rows, ratio_spread=max(ratios) / min(ratios))
@@ -317,7 +318,7 @@ def run_shrinkage_demo(n: int, p_n: int, A_grid, reps: int, seed: int = 0,
     rows = []
     for ai, A in enumerate(A_grid):
         theta0, X = _replication_block(SignalSpec(n, p_n, A), seed, reps, stream_key=(ai,))
-        means = [_rows(fit_many(X, dim_prior, slab, quantiles=False), "mean") for slab in slabs]
+        means = [SlabLayer(slab, X).fit(dim_prior, quantiles=False).mean for slab in slabs]
         lap, gau = (float(est.dq_loss(mean, theta0, loss2).mean()) for mean in means)
         rows.append((A, lap, gau, gau / lap))
     return ShrinkageDemoReport(rows=rows)

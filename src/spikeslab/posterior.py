@@ -12,8 +12,10 @@ common factor (it cancels in every posterior quantity).
 
 A block of R observation vectors of one length is fitted as one: its slab
 functions are evaluated once (SlabLayer) and each sweep of the polynomial
-layer runs over all R rows at a time (fit_many); fit is the block of one.
-Several sets of priors on one block share its inclusion sweep
+layer runs over all R rows at a time (SlabLayer.fit).  A fitted block is
+one set of arrays with a leading row axis (Fits), and a row's Posterior is
+built only when that row is asked for; fit is the one row of a block of
+one.  Several sets of priors on one block share its inclusion sweep
 (SlabLayer.fit_each).  Every marginal quantile, the median at level 1/2
 included, comes from one level formula (_marginal_quantiles), and the
 medians and credible bounds of a fit take one slab quantile pass.  The
@@ -83,37 +85,31 @@ def _coordinate_values(slab: SlabPrior, x: float) -> SlabValues:
 
 
 def _coord_row(k: int, doc: str) -> property:
-    """Row k of Posterior.coords as a field, None past the rows of the fit.
-    Setting it gives that posterior its own copy of coords with the row
-    replaced, so a copied Posterior can change a field alone."""
+    """Row k of the coords of a fit, coords[..., k, :], as a field; None past
+    the rows of the fit.  Setting it gives that fit its own copy of coords
+    with the row replaced, so a copied fit can change a field alone."""
 
     def get(self):
-        return self.coords[k] if k < len(self.coords) else None
+        return self.coords[..., k, :] if k < self.coords.shape[-2] else None
 
     def set(self, value):
         coords = self.coords.copy()
-        coords[k] = value
+        coords[..., k, :] = value
         self.coords = coords
 
     return property(get, set, doc=doc)
 
 
 @dataclass(eq=False, repr=False, slots=True)
-class Posterior:
-    """Fitted posterior of one vector of observations: summary fields, the
-    expected dimension, and marginal cdf / quantile access.  Built by fit,
-    fit_many or SlabLayer.fit_each.
+class _Fields:
+    """The fields of a Posterior or a Fits.  The per-coordinate ones are the
+    rows of one (..., fields, n) array, coords: x, inclusion_prob and mean,
+    then median, credible_lo and credible_hi, None without quantiles."""
 
-    The per-coordinate fields are the rows of one (fields, n) array, coords:
-    x, inclusion_prob and mean, then median, credible_lo and credible_hi,
-    which are None when fitted without quantiles.  A kept fit is then two
-    arrays and one slotted object, however many fields it has.
-    """
-
-    dim_prior: DimensionPrior
+    dim_prior: DimensionPrior | list
     slab: SlabPrior
     levels: tuple
-    log_partition: float
+    log_partition: float | np.ndarray
     dim_log_pmf: np.ndarray
     coords: np.ndarray
 
@@ -125,10 +121,17 @@ class Posterior:
     credible_hi = _coord_row(5, "Upper credible bounds, at levels[1].")
 
     @property
-    def expected_dimension(self) -> float:
+    def expected_dimension(self):
         """Posterior expected number of nonzero coordinates, from the pmf."""
-        p = np.arange(self.dim_log_pmf.size)
-        return float(np.sum(p * np.exp(self.dim_log_pmf)))
+        p = np.arange(self.dim_log_pmf.shape[-1])
+        return np.sum(p * np.exp(self.dim_log_pmf), axis=-1)
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class Posterior(_Fields):
+    """Fitted posterior of one vector of observations, built by fit or as a
+    row of a Fits: summary fields, the expected dimension, and marginal cdf /
+    quantile access.  A kept fit is two arrays and one slotted object."""
 
     def marginal_cdf(self, i: int, u: float) -> float:
         """Posterior P(theta_i <= u | X): atom of size 1 - q_i at zero plus
@@ -167,6 +170,25 @@ class Posterior:
     def _check_index(self, i: int):
         if not 0 <= i < self.x.size:
             raise IndexError(f"coordinate {i} out of range 0..{self.x.size - 1}")
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class Fits(_Fields):
+    """The fitted posteriors of an (R, n) block under one set of priors,
+    each field of a Posterior one array with a leading row axis: one prior
+    per row, log_partition (R,), dim_log_pmf (R, n + 1), coords (R, fields, n).
+    fits[r] and iteration build row r's Posterior from copies of its rows,
+    so a kept row does not keep the block alive."""
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, r: int) -> Posterior:
+        return Posterior(self.dim_prior[r], self.slab, self.levels, float(self.log_partition[r]),
+                         self.dim_log_pmf[r].copy(), self.coords[r].copy())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 class SlabLayer:
@@ -215,17 +237,16 @@ class SlabLayer:
         # not positive at lo, it is positive nowhere above lo either
         return np.where(positive_score(np.full(len(c), lo)), b, lo)
 
-    def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> list[Posterior]:
-        """The exact posterior of every row: priors is one DimensionPrior for
-        all rows or a sequence of one per row; the one-set case of fit_each."""
+    def fit(self, priors, levels=DEFAULT_LEVELS, quantiles: bool = True) -> Fits:
+        """The exact posteriors of the rows, one Fits: priors is one
+        DimensionPrior for all rows or one per row; fit_each of one set."""
         return self.fit_each([priors], levels=levels, quantiles=quantiles)[0]
 
     def fit_each(self, prior_sets, levels=DEFAULT_LEVELS,
-                 quantiles: bool = True) -> list[list[Posterior]]:
-        """The exact posterior of every row under each of a list of prior
-        sets, one list of posteriors per set; a set is one DimensionPrior for
-        all rows or a sequence of one per row.  Every prior reads the one
-        normalised product F' of the factors (logpoly): its dimension pmf is
+                 quantiles: bool = True) -> list[Fits]:
+        """The exact posteriors of the rows under each of a list of prior
+        sets, one Fits per set; a set is one DimensionPrior for all rows or a
+        sequence of one per row.  Every prior reads the one normalised product F' of the factors (logpoly): its dimension pmf is
         lambda + F' - log Z', and sum_i log1p(r_i) enters only its log
         partition function.  A set of binomial priors alone takes q in closed
         form; every other set, binomial rows included, shares one pass over
@@ -265,10 +286,7 @@ class SlabLayer:
                                                  levels + (0.5,)).reshape((3,) + q.shape)
             fields += [median, lo, hi]
         coords = np.stack(fields, axis=2)  # (sets, R, fields, n)
-        # copies: a Posterior kept alone does not keep its block alive
-        return [[Posterior(priors[r], self.slab, levels, float(log_partition[k, r]),
-                           dim_log_pmf[k, r].copy(), coords[k, r].copy())
-                 for r in range(len(priors))]
+        return [Fits(priors, self.slab, levels, log_partition[k], dim_log_pmf[k], coords[k])
                 for k, priors in enumerate(sets)]
 
     def medians(self, q) -> np.ndarray:
@@ -297,19 +315,12 @@ class SlabLayer:
         return priors, np.array([p.log_model_weights() for p in priors])
 
 
-def fit_many(X, priors, slab: SlabPrior, levels=DEFAULT_LEVELS,
-             quantiles: bool = True) -> list[Posterior]:
-    """The exact posterior of every row of the (R, n) block X, one Posterior
-    per row; priors is one DimensionPrior for all rows or one per row.  The
-    slab functions are evaluated once for the block (SlabLayer)."""
-    return SlabLayer(slab, X).fit(priors, levels=levels, quantiles=quantiles)
-
-
 def fit(x, dim_prior: DimensionPrior, slab: SlabPrior, levels=DEFAULT_LEVELS,
         quantiles: bool = True) -> Posterior:
-    """Compute the exact posterior for observations x."""
-    return fit_many(validate_observations(x)[None], dim_prior, slab, levels=levels,
-                    quantiles=quantiles)[0]
+    """The exact posterior of observations x, the one row of
+    SlabLayer(slab, x[None]).fit(dim_prior)."""
+    return SlabLayer(slab, validate_observations(x)[None]).fit(
+        dim_prior, levels=levels, quantiles=quantiles)[0]
 
 
 def eb_binomial_weight(x, slab: SlabPrior) -> float:

@@ -29,8 +29,8 @@ toward the origin only down to the length scale of g there
 (_graded_knots): to 1e-13 where g has a kink, not at all for a unit-scale
 Student slab; and toward a peak that those knots leave unresolved, at
 multiples of its width (_peak_width).  Only the closed forms import
-scipy.special, on first use.  log_psi, posterior_shrinkage, zeta and
-second_moment_ratio read a SlabValues.
+scipy.special, on first use.  Callers read the slab functions off one
+SlabValues; posterior_shrinkage is its shrinkage.
 
 The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
 inverted exactly, with no bisection (SlabValues.quantile), from the same
@@ -663,33 +663,8 @@ class SlabValues:
         return float(ndtr((u - m) / sd))
 
 
-# ---------------------------------------------------------------------------
-# psi, zeta
-# ---------------------------------------------------------------------------
-
-
-def _value(a):
-    """a, or a float when a is 0-d."""
-    return a if np.ndim(a) else float(a)
-
-
-def log_psi(prior: SlabPrior, x):
-    """log psi(x) = log int phi(x - t) g(t) dt."""
-    return _value(SlabValues(prior, x).log_psi)
-
-
 def posterior_shrinkage(prior: SlabPrior, x):
     """zeta(x) / psi(x), the slab-conditional posterior mean of a coordinate,
-    computed on the log scale so it stays finite far into the tails."""
-    return _value(SlabValues(prior, x).shrinkage)
-
-
-def zeta(prior: SlabPrior, x):
-    """First-moment convolution int t phi(x - t) g(t) dt (linear domain)."""
-    values = SlabValues(prior, x)
-    return _value(values.shrinkage * np.exp(values.log_psi))
-
-
-def second_moment_ratio(prior: SlabPrior, x):
-    """int t^2 phi(x-t) g(t) dt / psi(x): slab-conditional second moment."""
-    return _value(SlabValues(prior, x).second_moment)
+    computed on the log scale so it stays finite far into the tails; a
+    scalar for a scalar x."""
+    return SlabValues(prior, x).shrinkage[()]

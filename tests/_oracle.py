@@ -103,6 +103,20 @@ def quad_zeta(log_density, x: float) -> float:
     return _integral(log_density, x, moment=1)
 
 
+def tweedie_shrinkage(log_psi, x, h: float = 3e-3) -> np.ndarray:
+    """The slab-conditional posterior mean by Tweedie's formula (Robbins,
+    1956; Efron, 2011), x + d log psi(x) / dx, from any log_psi mapping an
+    array of observations to log psi.  The derivative is the Richardson
+    central difference (4 D(h) - D(2h)) / 3, D(h) = (log psi(x + h) -
+    log psi(x - h)) / 2h.  The rounding of log psi, divided by h, bounds its
+    accuracy, so x should stay moderate: log psi is near -x^2/2 for large |x|.
+    """
+    x = np.asarray(x, dtype=float)
+    up, down, up2, down2 = log_psi(np.add.outer([h, -h, 2.0 * h, -2.0 * h], x))
+    d_h, d_2h = (up - down) / (2.0 * h), (up2 - down2) / (4.0 * h)
+    return x + (4.0 * d_h - d_2h) / 3.0
+
+
 # ---------------------------------------------------------------------------
 # brute-force posterior by 2^n subset enumeration
 # ---------------------------------------------------------------------------

@@ -139,12 +139,23 @@ def test_fit_student_slab(obs_file, capsys):
     (["simulate", "--n", "1", "--pn", "0"], "--n"),  # hard thresholding needs n >= 2
     (["intervals", "--levels", "0", "1.5"], "--levels 0 1.5"),
     (["intervals", "--levels", "0.9", "0.1"], "--levels 0.9 0.1"),
+    (["dim-check", "--M", "-1", "0", "1"], "--M"),
+    (["dim-check", "--M", "nan"], "--M"),
+    (["dim-check", "--pn", "70"], "--pn"),
+    (["dim-check", "--reps", "0"], "--reps"),
+    (["contract-check", "--pn", "5", "40"], "--pn"),
+    (["contract-check", "--reps", "0"], "--reps"),
+    (["shrink-demo", "--amp", "5", "3"], "--amp"),
+    (["shrink-demo", "--reps", "0"], "--reps"),
 ])
 def test_invalid_flags_are_usage_errors(obs_file, tmp_path, capsys, argv, flag):
     command, *flags = argv
     data = {"fit": [str(obs_file)],
             "intervals": [str(obs_file), "--out", str(tmp_path / "iv.csv")],
-            "simulate": ["--n", "25", "--pn", "2", "--reps", "1"]}[command]
+            "simulate": ["--n", "25", "--pn", "2", "--reps", "1"],
+            "dim-check": ["--n", "60", "--pn", "5", "--reps", "2"],
+            "contract-check": ["--n", "60", "--pn", "5", "--reps", "2"],
+            "shrink-demo": ["--n", "60", "--pn", "5", "--reps", "2"]}[command]
     with pytest.raises(SystemExit) as info:
         main([command, *data, *flags])
     assert info.value.code == 2

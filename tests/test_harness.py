@@ -324,6 +324,34 @@ def test_dimension_check_sorts_grid():
     assert masses == sorted(masses, reverse=True)
 
 
+@pytest.mark.parametrize("M", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_dimension_check_rejects_negative_or_nonfinite_M(M, monkeypatch):
+    # a negative M would slice the pmf from its end; refused before any fit
+    monkeypatch.setattr(harness, "SlabLayer", None)
+    with pytest.raises(ValueError, match="M >= 0"):
+        run_dimension_check(60, 5, 5.0, M_grid=[M, 0.0, 1.0], reps=2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: run_dimension_check(30, 2, 5.0, M_grid=[1.0], reps=0),
+    lambda: run_contraction_check(30, [2], 5.0, reps=0),
+    lambda: run_shrinkage_demo(30, 2, [3.0], reps=0),
+], ids=["dimension", "contraction", "shrinkage"])
+def test_theory_checks_need_a_replication(check, monkeypatch):
+    monkeypatch.setattr(harness, "SlabLayer", None)
+    with pytest.raises(ValueError, match="at least one replication"):
+        check()
+
+
+def test_contraction_check_validates_its_grid_before_any_fit(monkeypatch):
+    # p_n = 40 is out of range for n = 60; p_n = 5, first in the grid, is not
+    layers = []
+    monkeypatch.setattr(harness, "SlabLayer", lambda *args: layers.append(args))
+    with pytest.raises(ValueError, match="0 < p_n < n/2"):
+        run_contraction_check(60, [5, 40], 5.0, reps=2)
+    assert layers == []
+
+
 def test_contraction_check_grid_validation():
     with pytest.raises(ValueError):
         run_contraction_check(100, [60], 5.0, reps=1)
@@ -352,9 +380,9 @@ def test_pure_noise_posterior_risk_is_small():
     rng_spec = SignalSpec(200, 0, 5.0)
     _, x = generate_data(rng_spec, seed=9)
     post = fit(x, complexity_prior(200, 0.1), laplace_slab(), quantiles=False)
-    from spikeslab import second_moment_ratio
+    from spikeslab.slabs import SlabValues
 
-    risk = float(np.sum(post.inclusion_prob * second_moment_ratio(laplace_slab(), x)))
+    risk = float(np.sum(post.inclusion_prob * SlabValues(laplace_slab(), x).second_moment))
     assert 0.0 <= risk < 3.0 * math.log(200)
 
 

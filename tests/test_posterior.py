@@ -15,19 +15,17 @@ from spikeslab import (
     eb_binomial_weight,
     exp_power_slab,
     fit,
-    fit_many,
     gaussian_slab,
     generate_data,
     geometric_prior,
     laplace_slab,
-    log_psi,
     poisson_prior,
     posterior_shrinkage,
     SignalSpec,
     student_slab,
 )
-from spikeslab.posterior import SlabLayer, validate_observations
-from spikeslab.slabs import SlabFamily
+from spikeslab.posterior import Fits, SlabLayer, validate_observations
+from spikeslab.slabs import SlabFamily, SlabValues
 
 from _oracle import BruteForcePosterior, make_log_density
 
@@ -66,7 +64,7 @@ def test_single_coordinate_at_zero():
     # uniform dimension prior on {0, 1}: P(p=1 | X=0) = psi(0)/(phi(0)+psi(0))
     prior = custom_prior(1, [0.0, 0.0])
     post = fit(np.array([0.0]), prior, laplace_slab())
-    psi0 = math.exp(log_psi(laplace_slab(), 0.0))
+    psi0 = math.exp(SlabValues(laplace_slab(), 0.0).log_psi)
     phi0 = norm.pdf(0.0)
     assert post.inclusion_prob[0] == pytest.approx(psi0 / (phi0 + psi0), rel=1e-12)
     assert post.inclusion_prob[0] == pytest.approx(0.3960, abs=5e-5)
@@ -494,7 +492,7 @@ def test_eb_weight_maximizes_marginal_likelihood():
     x = rng.normal(size=30) + np.where(np.arange(30) < 5, 4.0, 0.0)
     slab = laplace_slab()
     lphi = norm.logpdf(x)
-    lpsi = log_psi(slab, x)
+    lpsi = SlabValues(slab, x).log_psi
 
     def loglik(a):
         return float(np.logaddexp(np.log1p(-a) + lphi, np.log(a) + lpsi).sum())
@@ -725,38 +723,38 @@ def _assert_same_posterior(a, b, tol=1e-12):
 
 @pytest.mark.parametrize("n", [6, 300])
 @pytest.mark.parametrize("prior", sorted(_BLOCK_PRIORS), ids=str)
-def test_fit_many_equals_row_by_row_fit(prior, n):
+def test_slab_layer_fit_equals_row_by_row_fit(prior, n):
     rng = np.random.default_rng(53)
     X = rng.normal(scale=2.0, size=(3, n))
     X[0, :3] = [1e4, -1e4, 40.0]
     X[2, -2:] = [-3e3, 7.0]
     dim_prior = _BLOCK_PRIORS[prior](n)
-    for post, x in zip(fit_many(X, dim_prior, laplace_slab()), X):
+    for post, x in zip(SlabLayer(laplace_slab(), X).fit(dim_prior), X):
         _assert_same_posterior(post, fit(x, dim_prior, laplace_slab()))
 
 
-def test_fit_many_takes_one_prior_per_row():
+def test_slab_layer_fit_takes_one_prior_per_row():
     # coupled and binomial priors mixed in one block, under a table slab
     rng = np.random.default_rng(59)
     n = 7
     X = rng.normal(scale=2.0, size=(4, n))
     priors = [complexity_prior(n, 0.3), binomial_prior(n, 0.2), _point_mass(n, 0),
               poisson_prior(n, 1.0)]
-    for post, x, prior in zip(fit_many(X, priors, student_slab(3.0)), X, priors):
+    for post, x, prior in zip(SlabLayer(student_slab(3.0), X).fit(priors), X, priors):
         assert post.dim_prior is prior
         _assert_same_posterior(post, fit(x, prior, student_slab(3.0)))
 
 
-def test_fit_many_validation():
+def test_slab_layer_fit_validation():
     X = np.zeros((2, 4))
     with pytest.raises(ValueError, match="one dimension prior per row"):
-        fit_many(X, [complexity_prior(4, 0.1)] * 3, laplace_slab())
+        SlabLayer(laplace_slab(), X).fit([complexity_prior(4, 0.1)] * 3)
     with pytest.raises(ValueError, match="n = 4"):
-        fit_many(X, complexity_prior(5, 0.1), laplace_slab())
+        SlabLayer(laplace_slab(), X).fit(complexity_prior(5, 0.1))
     with pytest.raises(ValueError, match="block"):
-        fit_many(np.zeros(4), complexity_prior(4, 0.1), laplace_slab())
+        SlabLayer(laplace_slab(), np.zeros(4)).fit(complexity_prior(4, 0.1))
     with pytest.raises(ValueError, match="finite"):
-        fit_many(np.array([[0.0, np.inf]]), complexity_prior(2, 0.1), laplace_slab())
+        SlabLayer(laplace_slab(), np.array([[0.0, np.inf]])).fit(complexity_prior(2, 0.1))
 
 
 def test_slab_layer_eb_weights_match_eb_binomial_weight():
@@ -1004,3 +1002,28 @@ def test_kept_fit_is_two_arrays():
     moved.mean[0] = 7.0
     assert np.array_equal(moved.median, post.median + 1.0) and moved.mean[0] == 7.0
     assert np.array_equal(post.coords, again.coords)
+
+
+@pytest.mark.parametrize("quantiles", [True, False])
+def test_fits_is_one_set_of_arrays_of_its_rows(quantiles):
+    # a fitted block holds each field as one array with a leading row axis;
+    # fits[r] and iteration build row r's Posterior, with copies of its rows
+    rng = np.random.default_rng(89)
+    X = rng.normal(scale=2.0, size=(3, 8))
+    priors = [complexity_prior(8, 0.3), binomial_prior(8, 0.2), betabin_power_prior(8, 0.1)]
+    fits = SlabLayer(laplace_slab(), X).fit(priors, quantiles=quantiles)
+    assert isinstance(fits, Fits) and not hasattr(fits, "__dict__")
+    assert len(fits) == 3 and fits.dim_prior == priors
+    assert fits.log_partition.shape == (3,) and fits.dim_log_pmf.shape == (3, 9)
+    assert fits.coords.shape == (3, 6 if quantiles else 3, 8)
+    assert np.array_equal(fits.x, X)
+    rows = list(fits)
+    assert len(rows) == 3
+    for r, post in enumerate(rows):
+        _assert_identical_posterior(post, fits[r])
+        assert post.coords.base is None and post.dim_log_pmf.base is None
+        assert post.log_partition == fits.log_partition[r]
+        assert post.expected_dimension == fits.expected_dimension[r]
+        for field in ("x",) + _FIELDS:
+            block, row = getattr(fits, field), getattr(post, field)
+            assert (block is None and row is None) or np.array_equal(block[r], row), field

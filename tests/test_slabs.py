@@ -13,17 +13,15 @@ from spikeslab import (
     gaussian_slab,
     laplace_slab,
     log_g,
-    log_psi,
     posterior_shrinkage,
-    second_moment_ratio,
     student_slab,
-    zeta,
 )
 
 from spikeslab import slabs
 from spikeslab.slabs import _QUAD_TOL, SlabValues, log_phi
 
-from _oracle import make_log_density, peak, quad_psi, quad_psi_partial, quad_zeta
+from _oracle import (make_log_density, peak, quad_psi, quad_psi_partial, quad_zeta,
+                     tweedie_shrinkage)
 
 ALL_SLABS = [
     laplace_slab(),
@@ -95,9 +93,9 @@ def test_log_g_rejects_nonfinite():
     with pytest.raises(ValueError):
         log_g(laplace_slab(), np.inf)
     with pytest.raises(ValueError):
-        log_psi(laplace_slab(), np.nan)
+        SlabValues(laplace_slab(), np.nan)
     with pytest.raises(ValueError):
-        zeta(laplace_slab(), np.inf)
+        SlabValues(laplace_slab(), np.inf)
 
 
 def test_log_g_vectorized():
@@ -114,7 +112,7 @@ def test_log_psi_laplace_at_zero():
     from scipy.stats import norm
 
     expected = math.exp(0.5) * norm.cdf(-1.0)
-    assert log_psi(laplace_slab(), 0.0) == pytest.approx(math.log(expected), rel=1e-12)
+    assert SlabValues(laplace_slab(), 0.0).log_psi == pytest.approx(math.log(expected), rel=1e-12)
     assert expected == pytest.approx(0.26158, rel=1e-4)
 
 
@@ -124,7 +122,7 @@ def test_log_psi_gaussian_closed_form():
     prior = gaussian_slab(1.7)
     tau = math.hypot(1.0, 1.7)
     for x in (-3.0, 0.0, 0.4, 6.0):
-        assert log_psi(prior, x) == pytest.approx(
+        assert SlabValues(prior, x).log_psi == pytest.approx(
             norm.logpdf(x, scale=tau), abs=1e-12
         )
 
@@ -133,7 +131,7 @@ def test_log_psi_gaussian_closed_form():
 def test_log_psi_matches_quadrature_oracle(prior):
     density = _oracle_density(prior)
     for x in np.arange(-10.0, 10.5, 0.5):
-        assert log_psi(prior, x) == pytest.approx(
+        assert SlabValues(prior, x).log_psi == pytest.approx(
             math.log(quad_psi(density, float(x))), rel=1e-8
         )
 
@@ -141,8 +139,9 @@ def test_log_psi_matches_quadrature_oracle(prior):
 def test_log_psi_symmetry_far_tails():
     prior = laplace_slab()
     for x in (10.0, 25.0, 100.0, 700.0):
-        assert log_psi(prior, x) == pytest.approx(log_psi(prior, -x), rel=1e-13)
-        assert np.isfinite(log_psi(prior, x))
+        assert SlabValues(prior, x).log_psi == pytest.approx(SlabValues(prior, -x).log_psi,
+                                                             rel=1e-13)
+        assert np.isfinite(SlabValues(prior, x).log_psi)
 
 
 # -- the slab cdf H(u) = psi(x, u) / psi(x) -------------------------------------------
@@ -217,6 +216,13 @@ def test_slab_cdf_nondecreasing_in_u(prior):
 # -- zeta and shrinkage ----------------------------------------------------------
 
 
+def zeta(prior: SlabPrior, x):
+    """The first-moment convolution int t phi(x - t) g(t) dt, in the linear
+    domain: the shrinkage zeta/psi times psi of one SlabValues."""
+    values = SlabValues(prior, x)
+    return values.shrinkage * np.exp(values.log_psi)
+
+
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
 def test_zeta_zero_at_origin(prior):
     assert zeta(prior, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -226,7 +232,7 @@ def test_zeta_gaussian_exact():
     # N(0,1) slab under unit normal noise shrinks the observation by half
     for x in (-4.0, -0.3, 2.2, 9.0):
         assert zeta(gaussian_slab(), x) == pytest.approx(
-            0.5 * x * math.exp(log_psi(gaussian_slab(), x)), rel=1e-12
+            0.5 * x * math.exp(SlabValues(gaussian_slab(), x).log_psi), rel=1e-12
         )
         assert posterior_shrinkage(gaussian_slab(), x) == pytest.approx(0.5 * x)
 
@@ -244,7 +250,8 @@ def test_zeta_matches_quadrature_oracle(prior):
 def test_zeta_odd_psi_even(prior):
     for x in (0.3, 1.7, 4.0):
         assert zeta(prior, x) == pytest.approx(-zeta(prior, -x), rel=1e-9, abs=1e-13)
-        assert log_psi(prior, x) == pytest.approx(log_psi(prior, -x), rel=1e-10)
+        assert SlabValues(prior, x).log_psi == pytest.approx(SlabValues(prior, -x).log_psi,
+                                                             rel=1e-10)
 
 
 def test_laplace_shrinkage_between_zero_and_x():
@@ -257,10 +264,30 @@ def test_laplace_shrinkage_between_zero_and_x():
 def test_shrinkage_consistent_with_zeta_over_psi():
     for prior in ALL_SLABS:
         for x in (-3.0, 0.4, 2.5):
-            expected = zeta(prior, x) / math.exp(log_psi(prior, x))
+            expected = zeta(prior, x) / math.exp(SlabValues(prior, x).log_psi)
             assert posterior_shrinkage(prior, x) == pytest.approx(
                 expected, rel=1e-8, abs=1e-12
             )
+
+
+def _criterion_5_observations():
+    # the n = 2000 observations of acceptance criterion 5
+    rng = np.random.default_rng(77)
+    theta = np.where(np.arange(2000) >= 1900, 5.0, 0.0)
+    return theta + rng.standard_normal(2000)
+
+
+@pytest.mark.parametrize("prior", [laplace_slab(), gaussian_slab(), student_slab(3.0),
+                                   exp_power_slab(0.5), exp_power_slab(1.5)], ids=str)
+def test_shrinkage_matches_tweedie_formula(prior):
+    # shrinkage = x + d log psi / dx, with log psi differentiated numerically:
+    # the shrinkage and log psi are separate formulas, or separate sums of a
+    # table; every 20th observation for the table slabs
+    x = _criterion_5_observations()
+    if prior.family in (SlabFamily.STUDENT, SlabFamily.EXP_POWER):
+        x = x[::20]
+    reference = tweedie_shrinkage(lambda v: SlabValues(prior, v).log_psi, x)
+    assert np.max(np.abs(SlabValues(prior, x).shrinkage - reference)) <= 1e-10
 
 
 def test_second_moment_ratio_against_quadrature():
@@ -275,7 +302,7 @@ def test_second_moment_ratio_against_quadrature():
                 x - 13, x + 13, points=[0.0, x], limit=400,
             )
             expected = num / quad_psi(density, x)
-            assert second_moment_ratio(prior, x) == pytest.approx(expected, rel=1e-7)
+            assert SlabValues(prior, x).second_moment == pytest.approx(expected, rel=1e-7)
 
 
 @pytest.mark.parametrize("rate", [1e-3, 1.0, 1e3])
@@ -294,7 +321,8 @@ def test_laplace_second_moment_matches_high_precision(rate):
             second = (mp.exp(-a * x) * ((1 + hi**2) * mp.ncdf(hi) + hi * mp.npdf(hi))
                       + mp.exp(a * x) * ((1 + lo**2) * mp.ncdf(-lo) - lo * mp.npdf(lo)))
             expected.append(float(second / mass))
-    assert second_moment_ratio(laplace_slab(rate), TAIL_GRID) == pytest.approx(expected, rel=1e-11)
+    assert SlabValues(laplace_slab(rate), TAIL_GRID).second_moment == pytest.approx(expected,
+                                                                                  rel=1e-11)
 
 
 @pytest.mark.parametrize("x", [-40.0, 3.0, 40.0, 1e3])
@@ -305,9 +333,10 @@ def test_exp_power_two_matches_gaussian_closed_form(x):
     prior = exp_power_slab(2.0, scale=s)
     a2 = s * s / 2.0
     m = x * a2 / (1.0 + a2)
-    assert log_psi(prior, x) == pytest.approx(log_psi(gaussian_slab(math.sqrt(a2)), x), rel=1e-10)
+    assert SlabValues(prior, x).log_psi == pytest.approx(
+        SlabValues(gaussian_slab(math.sqrt(a2)), x).log_psi, rel=1e-10)
     assert posterior_shrinkage(prior, x) == pytest.approx(m, rel=1e-9)
-    assert second_moment_ratio(prior, x) == pytest.approx(m * m + a2 / (1.0 + a2), rel=1e-9)
+    assert SlabValues(prior, x).second_moment == pytest.approx(m * m + a2 / (1.0 + a2), rel=1e-9)
 
 
 @pytest.mark.parametrize("prior", [student_slab(3.0), exp_power_slab(0.5)], ids=str)
@@ -316,7 +345,7 @@ def test_heavy_slab_far_tails_match_quadrature_oracle(prior):
     # window must still resolve that peak when it also reaches the origin
     density = _oracle_density(prior)
     for x in (100.0, 1e4):
-        assert log_psi(prior, x) == pytest.approx(
+        assert SlabValues(prior, x).log_psi == pytest.approx(
             math.log(quad_psi(density, x)), rel=1e-8
         )
         assert 0.0 < posterior_shrinkage(prior, x) < x
@@ -410,7 +439,7 @@ def test_quadrature_error_carries_estimate():
 def test_unresolved_panel_table_raises_quadrature_error():
     # a Student slab of scale 1e-15 is narrower than the finest knots at 0
     with pytest.raises(QuadratureError) as info:
-        log_psi(student_slab(3.0, scale=1e-15), 0.0)
+        SlabValues(student_slab(3.0, scale=1e-15), 0.0)
     assert info.value.achieved_error > 0.0
 
 
@@ -423,10 +452,10 @@ def test_unresolved_panel_table_raises_quadrature_error():
 def test_panel_tables_resolve_far_tails_at_extreme_scales(prior):
     # no QuadratureError and finite, correctly signed answers for |x| up to 1e4
     x = np.array([1e2, -1e2, 1e3, -1e3, 1e4])
-    assert np.all(np.isfinite(log_psi(prior, x)))
+    assert np.all(np.isfinite(SlabValues(prior, x).log_psi))
     m = posterior_shrinkage(prior, x)
     assert np.all(np.sign(m) == np.sign(x)) and np.all(np.abs(m) < np.abs(x))
-    assert np.all(second_moment_ratio(prior, x) >= m * m)
+    assert np.all(SlabValues(prior, x).second_moment >= m * m)
 
 
 # -- table inversion ---------------------------------------------------------------
@@ -561,12 +590,12 @@ BLOCK = np.array([[0.3, -1.2, 1e2], [-1e2, -1e3, 1e4]])
 @pytest.mark.parametrize("prior", VALUE_SLABS, ids=str)
 def test_slab_values_of_a_block_equal_the_entrywise_functions(prior):
     values = SlabValues(prior, BLOCK)
-    for name, attr in (("log_psi", log_psi), ("shrinkage", posterior_shrinkage),
-                       ("second_moment", second_moment_ratio)):
+    for name in ("log_psi", "shrinkage", "second_moment"):
         block = getattr(values, name)
         assert block.shape == BLOCK.shape
-        assert block.tolist() == [[attr(prior, x) for x in row] for row in BLOCK], name
-    assert zeta(prior, BLOCK).tolist() == (values.shrinkage * np.exp(values.log_psi)).tolist()
+        assert block.tolist() == [[float(getattr(SlabValues(prior, x), name)) for x in row]
+                                  for row in BLOCK], name
+    assert posterior_shrinkage(prior, BLOCK).tolist() == values.shrinkage.tolist()
     # H(u) and its inverse of an entry are those of the entry alone
     tau = np.linspace(0.1, 0.9, BLOCK.size)
     for j, x in enumerate(BLOCK.ravel()):
@@ -597,7 +626,7 @@ def test_slab_values_quantile_inverts_cdf(prior):
 @given(x=st.floats(-15, 15), rate=st.floats(0.4, 3.0))
 def test_laplace_psi_symmetric_property(x, rate):
     prior = laplace_slab(rate)
-    assert log_psi(prior, x) == pytest.approx(log_psi(prior, -x), rel=1e-11)
+    assert SlabValues(prior, x).log_psi == pytest.approx(SlabValues(prior, -x).log_psi, rel=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
