@@ -66,6 +66,12 @@ def _log_binomials(n: int) -> np.ndarray:
     return f[-1] - f - f[::-1]
 
 
+def _check_size(n: int):
+    """Name a size n below 1 before any array is built."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _normalized(n: int, log_weights: np.ndarray, family: DimensionFamily, params: tuple) -> DimensionPrior:
     log_weights = np.asarray(log_weights, dtype=float)
     return DimensionPrior(n, log_weights - _logsumexp(log_weights), family, params)
@@ -76,8 +82,7 @@ def complexity_prior(n: int, kappa: float, b: float = 3.0) -> DimensionPrior:
 
     The p = 0 weight is the continuity limit exp(0) = 1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     if kappa <= 0 or b <= 0:
         raise ValueError("kappa and b must be positive")
     p = np.arange(n + 1, dtype=float)
@@ -92,8 +97,7 @@ def betabin_power_prior(n: int, kappa: float) -> DimensionPrior:
     kappa = 1 is the Beta-binomial(1, n + 1) hierarchical prior, with
     pi_n(p) / pi_n(p - 1) = (n - p + 1) / (2n - p + 1) <= 1/2.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     f = _log_factorials(2 * n)
@@ -104,6 +108,7 @@ def betabin_power_prior(n: int, kappa: float) -> DimensionPrior:
 
 def binomial_prior(n: int, alpha: float) -> DimensionPrior:
     """Binomial(n, alpha) prior on dimension; alpha strictly inside (0, 1)."""
+    _check_size(n)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
     p = np.arange(n + 1, dtype=float)
@@ -113,6 +118,7 @@ def binomial_prior(n: int, alpha: float) -> DimensionPrior:
 
 def poisson_prior(n: int, alpha: float) -> DimensionPrior:
     """Poisson(alpha) truncated to {0, ..., n} and renormalized."""
+    _check_size(n)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     w = np.arange(n + 1) * np.log(alpha) - _log_factorials(n)
@@ -121,6 +127,7 @@ def poisson_prior(n: int, alpha: float) -> DimensionPrior:
 
 def geometric_prior(n: int, succ_prob: float) -> DimensionPrior:
     """Geometric on {0, 1, ...} with the given success probability, truncated."""
+    _check_size(n)
     if not 0.0 < succ_prob < 1.0:
         raise ValueError("success probability must lie strictly in (0, 1)")
     p = np.arange(n + 1, dtype=float)
@@ -130,4 +137,5 @@ def geometric_prior(n: int, succ_prob: float) -> DimensionPrior:
 
 def custom_prior(n: int, log_weights) -> DimensionPrior:
     """User-supplied unnormalized log-weights over {0, ..., n}."""
+    _check_size(n)
     return _normalized(n, np.asarray(log_weights, dtype=float), DimensionFamily.CUSTOM, ())

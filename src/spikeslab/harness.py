@@ -78,15 +78,30 @@ class CellStats:
     complete: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
-    """Mean losses and Monte Carlo standard errors per (estimator, p_n, A, q)."""
+    """Mean losses and Monte Carlo standard errors per (estimator, p_n, A, q),
+    kept as arrays of shape (estimators, cells, exponents) in the order of
+    config.estimators, the (p_n, A) grid and config.qs."""
 
-    cells: dict
+    mean_loss: np.ndarray
+    se: np.ndarray
+    reps: int  # replications in every cell, 0 when every one failed
     failures: list
     identity_dim_err: float  # max |sum_i q_i - E[dim | X]| over all fits
     identity_mean_err: float  # max |mean_i - q_i zeta/psi| over all fits
     config: ExperimentConfig
+
+    @property
+    def cells(self) -> dict:
+        """{(estimator, p_n, A, q): CellStats}, built on each call; empty when
+        no replication ran, and incomplete wherever one failed."""
+        if not self.reps:
+            return {}
+        keys = itertools.product(self.config.estimators, _grid(self.config), self.config.qs)
+        return {(name, p_n, amp, float(q)): CellStats(float(m), float(s), self.reps,
+                                                      not self.failures)
+                for (name, (p_n, amp), q), m, s in zip(keys, self.mean_loss.flat, self.se.flat)}
 
     def cell(self, estimator: str, p_n: int, amplitude: float, q: float) -> CellStats:
         return self.cells[(estimator, p_n, float(amplitude), float(q))]
@@ -222,21 +237,18 @@ def run_table(config: ExperimentConfig) -> ResultTable:
     # the largest gaps of every fit, 0 without one; a NaN gap propagates
     dim_err, mean_err = np.max([(0.0, 0.0)] + [g for _, gaps in blocks for g in gaps],
                                axis=0).tolist()
-    cells = {}
-    if blocks:
+    reps = len(blocks)
+    mean_loss = se = np.full((len(config.estimators), len(grid), len(config.qs)), np.nan)
+    if reps:
         # (estimators, cells, exponents, replications): each cell reduces
         # over one contiguous row, as the vector of its losses would
         losses = np.stack([losses for losses, _ in blocks], axis=-1)
-        reps = losses.shape[-1]
-        # one replication has no standard error; its cells share one 0.0
-        se = ((losses.std(axis=-1, ddof=1) / math.sqrt(reps)).flat if reps > 1
-              else itertools.repeat(0.0))
-        keys = itertools.product(config.estimators, grid, config.qs)
-        # a failed replication misses every cell
-        cells = {(name, p_n, amp, float(q)): CellStats(float(m), float(s), reps, not failures)
-                 for (name, (p_n, amp), q), m, s in zip(keys, losses.mean(axis=-1).flat, se)}
-    return ResultTable(cells=cells, failures=failures, identity_dim_err=dim_err,
-                       identity_mean_err=mean_err, config=config)
+        mean_loss = losses.mean(axis=-1)
+        # one replication has no standard error
+        se = (losses.std(axis=-1, ddof=1) / math.sqrt(reps) if reps > 1
+              else np.zeros(mean_loss.shape))
+    return ResultTable(mean_loss=mean_loss, se=se, reps=reps, failures=failures,
+                       identity_dim_err=dim_err, identity_mean_err=mean_err, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 files and run through its own output checks: a change that made every
 benchmark op fail fails here.  Nothing under perfbench/ is edited."""
 
+import copy
 import importlib.util
 import re
 from pathlib import Path
@@ -42,5 +43,12 @@ def test_a_fit_passes_the_benchmark_checks(checks, n, slab):
 def test_a_table_passes_the_benchmark_checks(checks):
     table = ss.run_table(ss.ExperimentConfig(n=20, pn_grid=(2,), amplitudes=(4.0,),
                                              replications=2, threads=1))
-    problems, _ = checks.check_table(table, len(ss.harness.TABLE_ESTIMATORS) * 2)
+    cells = len(ss.harness.TABLE_ESTIMATORS) * 2
+    problems, _ = checks.check_table(table, cells)
     assert problems == []
+    # the self-test's corruption check: a copy given a failure is flagged,
+    # and the table it was copied from is not
+    broken = copy.copy(table)
+    broken.failures = [{"p_n": 2, "A": 4.0, "rep": 0, "error": "injected"}]
+    assert "table_failures" in checks.check_table(broken, cells)[0]
+    assert checks.check_table(table, cells)[0] == []

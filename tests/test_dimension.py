@@ -41,6 +41,12 @@ def test_parameter_validation():
         poisson_prior(10, 0.0)
     with pytest.raises(ValueError):
         geometric_prior(10, 1.0)
+    # a size below 1 is named before any array is built
+    for make, args in [(binomial_prior, (-1, 0.5)), (poisson_prior, (-2, 1.0)),
+                       (geometric_prior, (-2, 0.5)), (custom_prior, (-1, [])),
+                       (binomial_prior, (0, 0.5)), (betabin_power_prior, (0, 1.0))]:
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make(*args)
 
 
 def test_unnormalized_log_pmf_rejected():

@@ -105,6 +105,17 @@ def test_run_table_cell_structure(tiny_table):
     assert table.failures == []
 
 
+def test_run_table_keeps_arrays_in_grid_order(tiny_table):
+    # a kept table is two (estimators, cells, exponents) arrays; its cells
+    # are read off them in the order of the estimators, the grid and the qs
+    config, table = tiny_table
+    assert table.mean_loss.shape == table.se.shape == (len(config.estimators), 1, 2)
+    for e, name in enumerate(config.estimators):
+        for k, q in enumerate(config.qs):
+            cell = table.cell(name, 4, 5.0, q)
+            assert (cell.mean_loss, cell.se) == (table.mean_loss[e, 0, k], table.se[e, 0, k])
+
+
 def test_run_table_identity_errors_small(tiny_table):
     _, table = tiny_table
     assert table.identity_dim_err < 1e-8

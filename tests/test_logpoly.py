@@ -201,6 +201,17 @@ def test_logaddexp_matches_numpy(width):
     assert np.max(_ulps(got, want)) <= 4.0
 
 
+def test_shifts_are_views_of_every_offset():
+    # the windows of the block steps: row e is a[..., e : e + length]
+    a = np.arange(12.0).reshape(2, 6)
+    shifts = logpoly._shifts(a, 3, 4)
+    assert np.array_equal(shifts, [[a[0, e : e + 4] for e in range(3)],
+                                   [a[1, e : e + 4] for e in range(3)]])
+    assert np.shares_memory(shifts, a) and not shifts.flags.writeable
+    with pytest.raises(ValueError, match="overrun"):
+        logpoly._shifts(a, 3, 5)
+
+
 @pytest.mark.parametrize("n", [5, 300])
 def test_batched_sweeps_equal_row_by_row(n):
     # each row of a batch gets the answer it gets alone, bit for bit, and the
@@ -227,8 +238,8 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     log_r = rng.normal(scale=6.0, size=(5, n))
     log_w = rng.normal(size=(5, n + 1))[:, None]
     whole = inclusion_log_numerators(log_r, log_w)
-    # room for the prefix table of two rows: chunks of 2, 2 and 1
-    monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 2 * 4 * n * (n + 1))
+    # room for two rows: chunks of 2, 2 and 1
+    monkeypatch.setattr(logpoly, "_SWEEP_BYTES", 2 * logpoly._row_bytes(n, 1))
     chunks = []
     sweep = logpoly._sweep
 
@@ -241,6 +252,17 @@ def test_row_chunks_are_bit_identical(monkeypatch):
     assert chunks == [2, 2, 1] and len(chunked) == len(whole) == 3
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+    # the product takes its rows in chunks of the same budget
+    product_chunks = []
+    block_forward = logpoly._block_forward
+
+    def spy_block_forward(P, f=None):
+        product_chunks.append(len(P))
+        return block_forward(P, f)
+
+    monkeypatch.setattr(logpoly, "_block_forward", spy_block_forward)
+    assert np.array_equal(logpoly._forward(log_r), whole[0])
+    assert product_chunks == [2, 2, 1]
 
 
 def test_sweep_is_independent_of_the_weights_layout():
@@ -275,7 +297,7 @@ def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
     log_w[3, P - 1, 2] = 0.0  # all mass on dimension 2
     alone = [inclusion_log_numerators(log_r, log_w[:, p : p + 1]) for p in range(P)]
     if chunked:  # one row a chunk
-        monkeypatch.setattr(logpoly, "_PREFIX_TABLE_BYTES", 4 * n * (n + 1))
+        monkeypatch.setattr(logpoly, "_SWEEP_BYTES", logpoly._row_bytes(n, P))
     F, log_Z, num = inclusion_log_numerators(log_r, log_w)
     assert num.shape == (4, P, n) and log_Z.shape == (4, P)
     for p, (F_p, log_Z_p, num_p) in enumerate(alone):
@@ -288,21 +310,27 @@ def test_shared_sweep_equals_one_sweep_per_prior(monkeypatch, n, P, chunked):
     assert np.array_equal(log_Z_0[0], log_Z[1])
 
 
-def test_shared_sweep_peak_does_not_grow_with_priors():
-    # the stored table is the prefix products, one per row whatever the
-    # number of priors; only the priors' backward vectors are in flight
+def _sweep_peak(R, n, P):
+    """Traced peak bytes of a sweep of R rows of n factors under P priors."""
     rng = np.random.default_rng(71)
-    n = 400
-    log_r = rng.normal(scale=3.0, size=(3, n))
-    log_w = rng.normal(size=(3, 2, n + 1))
-    one = np.ascontiguousarray(log_w[:, :1])
+    log_r, log_w = rng.normal(scale=3.0, size=(R, n)), rng.normal(size=(R, P, n + 1))
+    tracemalloc.start()
+    try:
+        inclusion_log_numerators(log_r, log_w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def peak(w):
-        tracemalloc.start()
-        try:
-            inclusion_log_numerators(log_r, w)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(log_w) <= 1.1 * peak(one)
+def test_sweep_peak_is_a_fraction_of_a_full_prefix_table():
+    # a table of every prefix would take n (n + 1) / 2 floats a row, 48 MB
+    # here; the blocked sweep keeps about n sqrt(n) floats a row and one
+    # window of B + 1 shifts of each prior's backward vector in flight
+    R, n = 3, 2000
+    assert _sweep_peak(R, n, 2) < 8 * R * n * (n + 1) // 2 / 4
+
+
+def test_sweep_peak_grows_as_n_to_the_three_halves():
+    # four times the factors: at most 4^1.5 = 8 times the memory, with some
+    # room for the rounding of B = ceil(sqrt(n)); n^2 growth would give 16
+    assert _sweep_peak(3, 1600, 2) <= 10 * _sweep_peak(3, 400, 2)

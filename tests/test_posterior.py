@@ -137,17 +137,24 @@ def test_inclusion_pass_matches_brute_force(prior_factory, n):
         assert post.median[i] == pytest.approx(oracle.median(i), abs=1e-6)
 
 
-def test_binomial_fast_path_matches_general_path():
-    rng = np.random.default_rng(5)
-    n = 60
-    x = rng.normal(size=n) + np.where(np.arange(n) < 6, 4.0, 0.0)
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 60, 2000, "tail"])
+def test_binomial_fast_path_matches_general_path(n):
+    # the inclusion sweep takes the factors in blocks of B = ceil(sqrt(n)):
+    # n = B^2 fills its last block and n = B^2 + 1 starts one more; the tail
+    # row has log r_i up to about 5e5
+    if n == "tail":
+        n, x = 2000, _tail_observations(2000, 0, 1e3)
+    else:
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=n) + np.where(np.arange(n) < max(1, n // 10), 4.0, 0.0)
     alpha = 0.1
     fast = fit(x, binomial_prior(n, alpha), laplace_slab())
     # the same pmf fed through the custom family takes the general
     # leave-one-out route
     slow = fit(x, custom_prior(n, binomial_prior(n, alpha).log_pmf), laplace_slab())
-    assert np.allclose(fast.inclusion_prob, slow.inclusion_prob, atol=1e-12)
-    assert np.allclose(fast.mean, slow.mean, atol=1e-12)
+    assert np.allclose(fast.inclusion_prob, slow.inclusion_prob, rtol=0.0, atol=1e-12)
+    # the mean is q times the shrinkage, about x in the tails
+    assert np.allclose(fast.mean, slow.mean, rtol=1e-12, atol=1e-12)
     assert fast.log_partition == pytest.approx(slow.log_partition, abs=1e-12)
 
 
