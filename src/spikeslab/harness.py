@@ -56,6 +56,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        for name in ("pn_grid", "amplitudes", "estimators", "qs"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
         unknown = sorted(set(self.estimators) - set(TABLE_ESTIMATORS))
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {TABLE_ESTIMATORS}")

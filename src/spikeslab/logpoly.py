@@ -8,14 +8,13 @@ whose coefficients lie in [0, 1] however large |log r_i| is; the constant
 prod_i (1 + r_i) is left to the caller's log partition function.
 
 The factors of a row are taken in nb blocks of B = ceil(sqrt(n)), the last
-padded with identity factors (log r = -inf), and every recursion runs over
-all the blocks of all the rows at once.  The forward pass (_forward) has two
-levels: one factor a step within the blocks (_factor_forward, one log-add
-form _logaddexp), then one block a step across them (_block_forward), each
-step a (B + 1)-term log-sum-exp over a window.  The inclusion pass (_sweep)
-keeps the prefixes of both levels, about n sqrt(n) floats a row, and runs
-the two levels back.  The priors of a row share those tables, which depend
-on the factors alone; only their backward vectors are carried apiece.
+padded with identity factors (log r = -inf).  One step, _product, multiplies
+polynomials of degree D one at a time, and its transpose, _weights, steps
+back to the weight on each degree of every polynomial given the others.
+Each runs at two levels, over all the blocks of all the rows at once: the
+factors, of degree 1, make the block products, and these, of degree B, make
+F' (_forward).  The inclusion pass (_sweep) keeps the partial products of
+both levels, about n sqrt(n) floats a row, which the priors of a row share.
 Every step combines nonnegative terms, so nothing cancels.
 """
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["inclusion_log_numerators"]
 
@@ -34,23 +32,6 @@ _SWEEP_BYTES = 64 << 20
 
 # the shift of an all -inf log-sum-exp, so that it stays -inf and not NaN
 _FLOOR = -np.finfo(float).max
-
-
-def _logaddexp(a, b, out=None):
-    """log(e^a + e^b) elementwise, written to out when given:
-    m + log1p(exp(-|a - b|)) with m the larger argument, clamped below by m
-    so that -inf + -inf, whose difference is NaN, stays -inf.  -|a - b| is
-    taken as min(a, b) - m, which rounds to the same value.  The one form
-    at every width: seven vectorised elementwise ufuncs, so a row gets the
-    same bits in a block as alone.  Callers silence the invalid warning of
-    -inf - -inf."""
-    m = np.maximum(a, b)
-    d = np.minimum(a, b)
-    d -= m
-    np.exp(d, out=d)
-    np.log1p(d, out=d)
-    d += m
-    return np.fmax(d, m, out=d if out is None else out)
 
 
 def log_expit(x):
@@ -71,11 +52,11 @@ def _logsumexp_into(t: np.ndarray, axis=-1) -> np.ndarray:
     terms are shifted by their largest, clamped below at _FLOOR, so that a
     sum of -inf terms stays -inf.  Callers silence the divide warning of
     its log 0."""
-    m = t.max(axis=axis, keepdims=True)
+    m = np.maximum.reduce(t, axis=axis, keepdims=True)
     np.maximum(m, _FLOOR, out=m)
     t -= m
     np.exp(t, out=t)
-    s = t.sum(axis=axis, keepdims=True)
+    s = np.add.reduce(t, axis=axis, keepdims=True)
     np.log(s, out=s)
     s += m
     return s.squeeze(axis)
@@ -83,12 +64,15 @@ def _logsumexp_into(t: np.ndarray, axis=-1) -> np.ndarray:
 
 def _shifts(a: np.ndarray, k: int, length: int) -> np.ndarray:
     """a[..., e : e + length] for e = 0..k - 1 as one read-only
-    (..., k, length) view of a, without a copy."""
+    (k, ..., length) view of a contiguous a, built by the ndarray constructor
+    in a quarter of the time of as_strided.  The shift axis leads, so that a
+    log-sum-exp over it runs along whole rows."""
     if a.shape[-1] < k + length - 1:
         raise ValueError(f"{k} shifts of {length} entries overrun an axis of {a.shape[-1]}")
-    step = a.strides[-1]
-    return as_strided(a, a.shape[:-1] + (k, length), a.strides[:-1] + (step, step),
-                      writeable=False)
+    view = np.ndarray((k,) + a.shape[:-1] + (length,), a.dtype, a,
+                      strides=a.strides[-1:] + a.strides)
+    view.flags.writeable = False
+    return view
 
 
 def _block_shape(n: int) -> tuple[int, int]:
@@ -97,54 +81,61 @@ def _block_shape(n: int) -> tuple[int, int]:
     return B, -(-n // B)
 
 
-def _blocks(log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 - s_i) and log s_i of the factors of every row of log_r, padded
-    with identity factors to nb blocks of B: each of shape (..., nb, B)."""
+def _factors(log_r: np.ndarray) -> np.ndarray:
+    """The factors (1 - s_i) + s_i Z of every row of log_r as polynomials
+    (log(1 - s_i), log s_i), padded with identity factors to nb blocks of B:
+    shape (..., nb, B, 2)."""
     n = log_r.shape[-1]
     B, nb = _block_shape(n)
     padded = np.full(log_r.shape[:-1] + (nb * B,), -np.inf)
     padded[..., :n] = log_r
-    padded = padded.reshape(log_r.shape[:-1] + (nb, B))
-    return log_expit(-padded), log_expit(padded)
+    padded = padded.reshape(log_r.shape[:-1] + (nb, B, 1))
+    return log_expit(np.concatenate([-padded, padded], axis=-1))
 
 
-def _factor_forward(kept, shifted, prefix: np.ndarray | None = None) -> np.ndarray:
-    """prod_i (e^kept_i + e^shifted_i Z) over the last axis, built in place
-    one factor at a time.  When prefix is given, the prefix prod_{j < i},
-    i + 1 coefficients, is copied into its columns
-    i (i + 1) / 2 .. (i + 1) (i + 2) / 2 - 1 before factor i is applied."""
-    n = kept.shape[-1]
-    # column 0 is a -inf sentinel: one log-add a step also scales column 1
-    c = np.full(kept.shape[:-1] + (n + 2,), -np.inf)
-    c[..., 1] = 0.0
-    with np.errstate(invalid="ignore"):
-        for i in range(n):
-            if prefix is not None:
-                prefix[..., i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = c[..., 1 : i + 2]
-            # c[..., i + 2] holds -inf until this step
-            _logaddexp(c[..., 1 : i + 3] + kept[..., i, None],
-                       c[..., : i + 2] + shifted[..., i, None], out=c[..., 1 : i + 3])
-    return c[..., 1:]
-
-
-def _block_forward(P: np.ndarray, f: list | None = None) -> np.ndarray:
-    """The product of the block products P, (..., nb, B + 1), one block a
-    step: f_{b+1}[a] = log sum_j e^{f_b[a - j] + P_b[j]}, j = 0..B, from
-    f_0 = [0].  Returns f_nb; f_0 .. f_{nb - 1} are appended to f when
-    given, b B + 1 coefficients each."""
-    nb, B = P.shape[-2], P.shape[-1] - 1
-    # f_b between B -inf entries on either side, so that column a of its
-    # B + 1 shifts holds f_b[a - B .. a], against P_b reversed
-    padded = np.full(P.shape[:-2] + (nb * B + 1 + 2 * B,), -np.inf)
+def _product(P: np.ndarray, f: list | None = None) -> np.ndarray:
+    """The product of the polynomials P, (..., K, D + 1), one a step:
+    c_{k+1}[a] = log sum_j e^{c_k[a - j] + P_k[j]}, j = 0..D, from c_0 = [0].
+    Returns c_K; c_0 .. c_{K-1} are appended to f when given, k D + 1
+    coefficients each."""
+    K, D = P.shape[-2], P.shape[-1] - 1
+    # c_k between D -inf entries on either side, so that column a of its
+    # D + 1 shifts holds c_k[a - D .. a], against P_k reversed
+    padded = np.full(P.shape[:-2] + (K * D + 1 + 2 * D,), -np.inf)
+    # P reversed, its degree axis first to meet the shift axis, copied so
+    # that the sums with the windows come out in C order
+    reversed_P = np.ascontiguousarray(np.rollaxis(P[..., ::-1], -1))[..., None]
     c = np.zeros(P.shape[:-2] + (1,))
     with np.errstate(divide="ignore"):
-        for b in range(nb):
+        for k in range(K):
             if f is not None:
                 f.append(c)
-            padded[..., B : B + b * B + 1] = c
-            c = _logsumexp_into(_shifts(padded, B + 1, (b + 1) * B + 1) + P[..., b, ::-1, None],
-                                axis=-2)
+            padded[..., D : D + k * D + 1] = c
+            c = _logsumexp_into(_shifts(padded, D + 1, (k + 1) * D + 1) + reversed_P[..., k, :],
+                                axis=0)
     return c
+
+
+def _weights(P: np.ndarray, f: list, h: np.ndarray) -> np.ndarray:
+    """The transpose of _product(P, f): from h_K, a weight on each degree of
+    the product c_K, step back h_k[m] = log sum_e e^{P_k[e] + h_{k+1}[m + e]},
+    e = 0..D, the weight on degree m of c_k given P_k .. P_{K-1}.  Returns
+    M, (..., K, D + 1), M_k[e] = log sum_m e^{c_k[m] + h_{k+1}[m + e]}, the
+    weight on degree e of P_k given the other polynomials.  M_k[0] is left
+    -inf, as no M_k[e], e >= 1, depends on a degree-0 weight.  P and f
+    broadcast against h.  Callers silence the warnings of -inf - -inf and
+    log 0."""
+    K, D = P.shape[-2], P.shape[-1] - 1
+    M = np.full(h.shape[:-1] + (K, D + 1), -np.inf)
+    # the degree axis first, as in _product
+    M_e, P_e = np.rollaxis(M, -1), np.ascontiguousarray(np.rollaxis(P, -1))[..., None]
+    for k in range(K - 1, -1, -1):
+        # H[e, ..., m] = h_{k+1}[m + e], e = 0..D, m = 0..kD
+        H = _shifts(h, D + 1, k * D + 1)
+        M_e[1:, ..., k] = _logsumexp_into(H[1:] + f[k])
+        if k:
+            h = _logsumexp_into(H + P_e[..., k, :], axis=0)
+    return M
 
 
 def _forward(log_r: np.ndarray) -> np.ndarray:
@@ -153,7 +144,7 @@ def _forward(log_r: np.ndarray) -> np.ndarray:
     of a one-prior sweep, whose forward windows are the product's."""
     n = log_r.shape[-1]
     rows = log_r.reshape(-1, n)
-    F = [_block_forward(_factor_forward(*_blocks(rows[k]))) for k in _row_chunks(len(rows), n, 1)]
+    F = [_product(_product(_factors(rows[k]))) for k in _row_chunks(len(rows), n, 1)]
     return np.concatenate(F)[:, : n + 1].reshape(log_r.shape[:-1] + (n + 1,))
 
 
@@ -204,48 +195,20 @@ def _sweep(log_r: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """inclusion_log_numerators of an (R, n) log_r and a C-contiguous
     (R, P, n + 1) log_w.
 
-    The forward pass keeps the prefixes within each block b and the
-    products f_b of the blocks before it.  The backward pass starts at
-    h_nb = w / Z' and steps back a block at a time: h_b[m] = log sum_e
-    e^{P_b[e] + h_{b+1}[m + e]} weighs the blocks from b on, and
-    M_b[e] = log sum_m e^{f_b[m] + h_{b+1}[m + e]}, e = 0..B, is the weight
-    of degree e within block b given everything outside it.  Each block is
-    then swept back one factor at a time under its weights M_b
-    (_factor_backward)."""
-    R, n = log_r.shape
-    kept, shifted = _blocks(log_r)
-    nb, B = kept.shape[-2:]
-    prefix = np.empty((R, nb, B * (B + 1) // 2))
-    P = _factor_forward(kept, shifted, prefix)
-    f = []
-    F = _block_forward(P, f)[:, : n + 1]
-    M = np.empty(log_w.shape[:2] + (nb, B + 1))
+    The forward pass keeps the prefixes c_i within each block and the
+    products f_b of the blocks before each block.  The transpose starts from
+    the weights w / Z' on the degrees of F' and gives M_b[e], the weight on
+    degree e of block b given the other blocks; from M_b it gives the weight
+    on degree 1 of each factor given the others, the numerator of q_i."""
+    n = log_r.shape[-1]
+    factors, prefix, f = _factors(log_r), [], []
+    blocks = _product(factors, prefix)
+    F = _product(blocks, f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_Z = _logsumexp_into(log_w + F[:, None])
-        h = np.full(log_w.shape[:2] + (nb * B + 1,), -np.inf)
+        log_Z = _logsumexp_into(log_w + F[:, None, : n + 1])
+        h = np.full(log_w.shape[:2] + F.shape[-1:], -np.inf)
         h[..., : n + 1] = log_w - log_Z[..., None]
-        for b in range(nb - 1, -1, -1):
-            # H[e, m] = h_{b+1}[m + e], e = 0..B, m = 0..bB
-            H = _shifts(h, B + 1, b * B + 1)
-            M[:, :, b] = _logsumexp_into(H + f[b][:, None, None])
-            if b:
-                h = _logsumexp_into(H + P[:, None, b, :, None], axis=-2)
-        # broadcast the tables over the priors
-        num = _factor_backward(prefix[:, None], kept[:, None], shifted[:, None], M[..., 1:])
-    return F, log_Z, num.reshape(log_w.shape[:2] + (nb * B,))[..., :n]
-
-
-def _factor_backward(prefix, kept, shifted, g) -> np.ndarray:
-    """The numerators num[..., i] = log sum_a e^{prefix_i[a] + G_i[a]} of
-    the factors of a block, prefix_i being the prefix table of
-    _factor_forward and G_i[a] the weight of degree a + 1 summed over the
-    factors after i: G_{B-1} = g, the weights of degrees 1..B, and
-    G_{i-1}[a] = log(e^{kept_i + G_i[a]} + e^{shifted_i + G_i[a + 1]}).
-    Callers silence the warnings of -inf - -inf and log 0."""
-    B = g.shape[-1]
-    num = np.empty(g.shape)
-    for i in range(B - 1, -1, -1):
-        num[..., i] = _logsumexp_into(prefix[..., i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] + g)
-        if i:
-            g = _logaddexp(g[..., :i] + kept[..., i, None], g[..., 1:] + shifted[..., i, None])
-    return num
+        # the tables broadcast over the priors
+        M = _weights(blocks[:, None], [c[:, None] for c in f], h)
+        num = _weights(factors[:, None], [c[:, None] for c in prefix], M)[..., 1]
+    return F[:, : n + 1], log_Z, num.reshape(log_w.shape[:2] + (-1,))[..., :n]

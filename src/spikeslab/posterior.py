@@ -159,11 +159,6 @@ class Posterior(_Fields):
         return float(_marginal_quantiles(self._values(i), self.inclusion_prob[[i]],
                                          (level,))[0, 0])
 
-    def coordinatewise_median(self, i: int) -> float:
-        """Median of the marginal posterior of coordinate i, its quantile at
-        1/2; exactly zero whenever the inclusion probability is at most 1/2."""
-        return self.marginal_quantile(i, 0.5)
-
     def _values(self, i: int) -> SlabValues:
         return _coordinate_values(self.slab, float(self.x[i]))
 

@@ -83,6 +83,11 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="n >= 2"):
         ExperimentConfig(n=1, pn_grid=(0,), estimators=("PM1", "HTO"))
     ExperimentConfig(n=1, pn_grid=(0,), estimators=("PM1", "EBMed"))  # no thresholding
+    # an empty grid is an error by name, not an empty table or a numpy error
+    # in every replication
+    for name in ("pn_grid", "amplitudes", "estimators", "qs"):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            ExperimentConfig(**{name: ()})
 
 
 @pytest.fixture(scope="module")

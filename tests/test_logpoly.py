@@ -170,7 +170,7 @@ def test_eval_at_one_equals_sum_of_logaddexp_property(data):
     assert logsumexp(poly) == pytest.approx(expected, abs=1e-9)
 
 
-# -- batches and the log-add kernel -------------------------------------------------
+# -- batches and the log-sum-exp kernel -----------------------------------------------
 
 
 def _ulps(a, b):
@@ -181,35 +181,43 @@ def _ulps(a, b):
     return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
 
 
-@pytest.mark.parametrize("width", [1, 3, 128])
-def test_logaddexp_matches_numpy(width):
-    # the composite form must agree with np.logaddexp to a few ulp at any row
-    # width, including at -inf and at equal arguments
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("width", [2, 3, 24])
+def test_logsumexp_into_matches_scipy(width, axis):
+    # the one log-sum-exp of both product levels, over the leading shift axis
+    # and along a row: an all -inf window stays -inf, a lone finite term
+    # comes back exactly, and the rest agrees with scipy to a few ulp
     rng = np.random.default_rng(41)
-    a = rng.normal(scale=50.0, size=(40, width))
-    b = a + rng.normal(scale=5.0, size=a.shape)
-    a[0], b[0] = -np.inf, -np.inf
-    a[1] = -np.inf
-    b[2] = -np.inf
-    b[3] = a[3]
-    a[4], b[4] = 1e300, -1e300
-    with np.errstate(invalid="ignore"):
-        got = logpoly._logaddexp(a, b)
-    want = np.logaddexp(a, b)
-    assert np.all(got[0] == -np.inf)
-    assert np.array_equal(got[1], b[1]) and np.array_equal(got[2], a[2])
-    assert np.max(_ulps(got, want)) <= 4.0
+    t = rng.normal(scale=50.0, size=(40, width))
+    t[1:] += rng.normal(scale=50.0, size=(39, 1))
+    t[0] = -np.inf
+    t[1, 1:] = -np.inf
+    t[2, 1:] = t[2, 0]
+    t[3, 0], t[3, 1:] = 1e300, -1e300
+    want = logsumexp(t, axis=1)
+    lone = t[1, 0]
+    if axis == 0:
+        t = np.ascontiguousarray(t.T)
+    with np.errstate(divide="ignore"):
+        got = logpoly._logsumexp_into(t, axis=axis)
+    assert got.shape == (40,)
+    assert got[0] == -np.inf
+    assert got[1] == lone and got[3] == 1e300
+    assert np.max(_ulps(got, want)) <= 8.0
 
 
 def test_shifts_are_views_of_every_offset():
-    # the windows of the block steps: row e is a[..., e : e + length]
+    # the windows of the product steps, the shift axis leading:
+    # shifts[e, ...] is a[..., e : e + length]
     a = np.arange(12.0).reshape(2, 6)
     shifts = logpoly._shifts(a, 3, 4)
-    assert np.array_equal(shifts, [[a[0, e : e + 4] for e in range(3)],
-                                   [a[1, e : e + 4] for e in range(3)]])
+    assert shifts.shape == (3, 2, 4)
+    assert np.array_equal(shifts, [a[:, e : e + 4] for e in range(3)])
     assert np.shares_memory(shifts, a) and not shifts.flags.writeable
     with pytest.raises(ValueError, match="overrun"):
         logpoly._shifts(a, 3, 5)
+    with pytest.raises(ValueError, match="not contiguous"):
+        logpoly._shifts(a[:, ::2], 2, 2)
 
 
 @pytest.mark.parametrize("n", [5, 300])
@@ -254,13 +262,13 @@ def test_row_chunks_are_bit_identical(monkeypatch):
         assert np.array_equal(a, b)
     # the product takes its rows in chunks of the same budget
     product_chunks = []
-    block_forward = logpoly._block_forward
+    factors = logpoly._factors
 
-    def spy_block_forward(P, f=None):
-        product_chunks.append(len(P))
-        return block_forward(P, f)
+    def spy_factors(log_r):
+        product_chunks.append(len(log_r))
+        return factors(log_r)
 
-    monkeypatch.setattr(logpoly, "_block_forward", spy_block_forward)
+    monkeypatch.setattr(logpoly, "_factors", spy_factors)
     assert np.array_equal(logpoly._forward(log_r), whole[0])
     assert product_chunks == [2, 2, 1]
 

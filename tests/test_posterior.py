@@ -335,16 +335,12 @@ def test_quantile_atom_span_returns_exact_zero():
     assert np.all(post.inclusion_prob < 0.5)
     for i in range(3):
         assert post.marginal_quantile(i, 0.5) == 0.0
-        assert post.coordinatewise_median(i) == 0.0
 
 
 def test_median_equals_half_quantile(small_fit):
     for i in range(8):
-        assert small_fit.coordinatewise_median(i) == pytest.approx(
-            small_fit.marginal_quantile(i, 0.5), abs=1e-9
-        )
         assert small_fit.median[i] == pytest.approx(
-            small_fit.coordinatewise_median(i), abs=1e-12
+            small_fit.marginal_quantile(i, 0.5), abs=1e-12
         )
 
 
@@ -896,7 +892,7 @@ def test_one_pass_quantiles_equal_the_two_sided_formulas(slab):
         assert np.array_equal(post.credible_lo, lo)
         assert np.array_equal(post.credible_hi, hi)
         for i in range(n):
-            assert post.coordinatewise_median(i) == median[i]
+            assert post.marginal_quantile(i, 0.5) == median[i]
             assert post.marginal_quantile(i, 0.9) == hi[i]
     q = np.concatenate([post.inclusion_prob for post in posts])
     assert np.any(q == 1.0) and np.any(q <= 0.5)
@@ -962,7 +958,7 @@ def test_student_fit_makes_one_peak_search_and_one_quantile_pass(monkeypatch):
 
 
 def test_coordinate_accessors_build_one_table(monkeypatch):
-    # marginal_cdf, marginal_quantile and coordinatewise_median of one
+    # marginal_cdf and marginal_quantile (the median among its levels) of one
     # coordinate share its cached slab values: one table for all the calls
     from spikeslab import posterior, slabs
 
@@ -979,7 +975,7 @@ def test_coordinate_accessors_build_one_table(monkeypatch):
     v = post.marginal_quantile(8, 0.3)
     for u in (v - 1e-6, v + 1e-6, 0.0, 1.0, -1.0, 5.0):
         post.marginal_cdf(8, u)
-    assert post.coordinatewise_median(8) == post.median[8]
+    assert post.marginal_quantile(8, 0.5) == post.median[8]
     assert built == [[_SIGNED_X[8]]]
     assert posterior._coordinate_values.cache_info().maxsize <= 64
 

@@ -1,3 +1,4 @@
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -29,3 +30,21 @@ def test_command_line_examples_parse():
     parser = cli.make_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def test_named_code_exists():
+    # every backticked module-qualified name (`logpoly._forward`,
+    # `slabs.SlabValues(slab, x)`) and every backticked bare private name
+    # (`_product`) exists in a spikeslab module, so a renamed or deleted
+    # function fails here instead of leaving the docs stale
+    text = README.read_text()
+    modules = {name: importlib.import_module(f"spikeslab.{name}") for name in
+               ("logpoly", "slabs", "posterior", "harness", "dimension", "cli", "estimators")}
+    qualified = re.findall(r"`(logpoly|slabs|posterior|harness|dimension)\.(\w+)", text)
+    bare = re.findall(r"`(_\w+)[`(]", text)
+    assert qualified and bare
+    missing = [f"{module}.{name}" for module, name in qualified
+               if not hasattr(modules[module], name)]
+    missing += [name for name in bare
+                if not any(hasattr(module, name) for module in modules.values())]
+    assert not missing, f"README names {missing}, which no spikeslab module has"
