@@ -17,7 +17,7 @@ from .dimension import (
     geometric_prior,
     poisson_prior,
 )
-from .posterior import fit
+from .posterior import DEFAULT_LEVELS, fit
 from .slabs import SlabFamily, SlabPrior
 
 
@@ -126,7 +126,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     _add_prior_flags(p)
     _add_slab_flags(p)
-    p.add_argument("--levels", type=float, nargs=2, default=[0.025, 0.975])
+    p.add_argument("--levels", type=float, nargs=2, default=list(DEFAULT_LEVELS))
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
             replications=args.reps, estimators=tuple(args.estimators),
             kappa=args.kappa, b=args.b, slab=slab,
             qs=tuple(args.q), seed=args.seed, threads=args.threads,
-        ), "--n, --pn, --reps, --estimators, --kappa, --b or --q")
+        ), "--n, --pn, --amp, --reps, --estimators, --kappa, --b or --q")
         table = harness.run_table(config)
         if args.out:
             (table.to_json if args.format == "json" else table.to_csv)(args.out)

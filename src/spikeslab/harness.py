@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimators as est
 from .dimension import DimensionPrior, betabin_power_prior, binomial_prior, complexity_prior
-from .posterior import Fits, Posterior, SlabLayer, fit
+from .posterior import DEFAULT_LEVELS, Fits, Posterior, SlabLayer, fit
 from .slabs import SlabPrior, gaussian_slab, laplace_slab
 
 TABLE_ESTIMATORS = ("PM1", "PM2", "EBM", "PMed1", "PMed2", "EBMed", "HT", "HTO")
@@ -57,8 +57,11 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("need at least one replication")
         for name in ("pn_grid", "amplitudes", "estimators", "qs"):
-            if not len(getattr(self, name)):
+            values = getattr(self, name)
+            if not len(values):
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):  # a cell key would fold the repeats
+                raise ValueError(f"{name} must not repeat an entry, got {tuple(values)}")
         unknown = sorted(set(self.estimators) - set(TABLE_ESTIMATORS))
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {TABLE_ESTIMATORS}")
@@ -367,7 +370,7 @@ def read_observations(path) -> np.ndarray:
 
 
 def emit_interval_data(x, dim_prior: DimensionPrior, slab: SlabPrior, out_path,
-                       levels=(0.025, 0.975), fmt: str = "csv") -> Posterior:
+                       levels=DEFAULT_LEVELS, fmt: str = "csv") -> Posterior:
     """Fit the posterior and write one record per coordinate:
     index, x, median, lo, hi, inclusion_prob.  The format is checked before
     the fit."""

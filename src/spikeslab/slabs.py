@@ -13,9 +13,9 @@ contraction check.  phi is the standard normal density.
 
 SlabValues evaluates all of them once for an array of observations, and is
 the one place that decides how a family is evaluated.  Laplace and Gaussian
-slabs use closed forms on the log scale (log-Phi via erfc keeps the
-e^{a x} Phi(-x - a) products finite for large |x|); the Laplace ones,
-second moment included, all come from one pair of log-Phi arrays.  Student
+slabs share one closed form on the log scale, a normal law split at 0
+(log-Phi via erfc keeps the e^{a x} Phi(-x - a) products finite for large
+|x|), second moment included, from one pair of log-Phi arrays.  Student
 and exponential-power slabs come from one stacked panel table over the
 distinct observations (PanelTables), one 21-point Gauss-Kronrod rule a
 panel, whose embedded 10-point Gauss rule gives the refinement estimate:
@@ -34,9 +34,8 @@ SlabValues; posterior_shrinkage is its shrinkage.
 
 The slab cdf H(u) = psi(x, u) / psi(x) is evaluated (SlabValues.cdf) and
 inverted exactly, with no bisection (SlabValues.quantile), from the same
-arrays: the Gaussian slab posterior is normal; the Laplace one is a two-piece
-mixture of normals split at 0, with the log weights psi comes from, inverted
-by one ndtri_exp call on the piece that holds the level; the panel table
+arrays: the split normal, with the log weights psi comes from, by one
+ndtri_exp call on the piece that holds the level; the panel table
 sums an observation's panels up to u, and is inverted inside the one panel
 that holds the level by safeguarded Newton steps batched over every
 coordinate of a call (table_quantiles).
@@ -98,6 +97,8 @@ class SlabPrior:
         elif self.family is SlabFamily.EXP_POWER:
             if self.shape is None or not (0 < self.shape <= 2):
                 raise ValueError("exponential-power exponent must lie in (0, 2]")
+        elif self.shape is not None:
+            raise ValueError(f"{self.family.value} slab takes no shape, got {self.shape}")
 
 
 def laplace_slab(rate: float = 1.0) -> SlabPrior:
@@ -528,10 +529,18 @@ def _excess_second_moment(y):
     return np.where(tail, 2.0 / (yt * d + 2.0), 1.0 + y * y - y * np.exp(log_phi(y) - log_ndtr(-y)))
 
 
-def _gaussian_posterior(s: float, x):
-    """Mean and standard deviation of the Gaussian slab posterior N(m, sd^2)."""
-    tau2 = 1.0 + s * s
-    return x * (s * s) / tau2, s / math.sqrt(tau2)
+def _split_normal(prior: SlabPrior, x: np.ndarray):
+    """(m, a, sd, base): the closed-form slab posterior of x is N(m + a, sd^2)
+    below 0 and N(m - a, sd^2) above it, with log weight factors a x and -a x,
+    and base is the part of log psi that the pieces leave out.  Laplace (rate
+    a): m = x, sd = 1, base = log(a / 2) + a^2 / 2.  Gaussian (std s): a = 0,
+    m = x s^2 / tau^2 with tau = sqrt(1 + s^2), sd = s / tau and base =
+    log phi(x / tau) - log tau."""
+    s = prior.scale
+    if prior.family is SlabFamily.LAPLACE:
+        return x, s, 1.0, math.log(s / 2.0) + 0.5 * s * s
+    tau = math.hypot(1.0, s)
+    return x * (s * s) / (1.0 + s * s), 0.0, s / tau, log_phi(x / tau) - math.log(tau)
 
 
 class SlabValues:
@@ -548,12 +557,14 @@ class SlabValues:
     panels, the panel count of each entry (0.0 and zeros for the closed
     forms).
 
-    The Laplace slab posterior of x is N(x + a, 1) below 0 with log weight
-    L- = a x + log Phi(-x - a) and N(x - a, 1) above 0 with log weight
-    L+ = -a x + log Phi(x - a); psi, zeta, H(0) and the second moment all
-    come from those two log Phi arrays.  H and its inverse use L - a x and
-    L + a x, L = logaddexp(L-, L+), formed without the large terms +/- a x,
-    so no cancellation.  The Gaussian slab posterior is N(m, sd^2).
+    A closed-form slab posterior is one normal law split at 0
+    (_split_normal): N(m + a, sd^2) below 0 with log weight L- = a x +
+    log Phi((-m - a) / sd) and N(m - a, sd^2) above 0 with log weight L+ =
+    -a x + log Phi((m - a) / sd); the normal densities at 0 cancel, as the
+    posterior density is continuous there.  psi, zeta, H(0) and the second
+    moment all come from those two log Phi arrays.  H and its inverse use
+    L - a x and L + a x, L = logaddexp(L-, L+), formed without the large
+    terms +/- a x, so no cancellation.
     """
 
     def __init__(self, prior: SlabPrior, x):
@@ -565,26 +576,19 @@ class SlabValues:
         self._tables = None
         self.quadrature_error = 0.0
         self.panels = np.zeros(x.shape, dtype=int)
-        a = prior.scale
-        if prior.family is SlabFamily.LAPLACE:
+        if prior.family in (SlabFamily.LAPLACE, SlabFamily.GAUSSIAN):
             from scipy.special import log_ndtr
-            neg, pos = log_ndtr(-x - a), log_ndtr(x - a)
-            # psi(x) = (a/2) e^{a^2/2} [e^{-a x} Phi(x - a) + e^{a x} Phi(-x - a)]
-            # zeta(x) = (a/2) e^{a^2/2} [(x-a) e^{-a x} Phi(x-a) + (x+a) e^{a x} Phi(-x-a)]
+            m, a, sd, base = _split_normal(prior, x)
+            self._split = m, a, sd
+            neg, pos = log_ndtr((-m - a) / sd), log_ndtr((m - a) / sd)
             u1, u2 = -a * x + pos, a * x + neg
-            self.log_psi = math.log(a / 2.0) + 0.5 * a * a + np.logaddexp(u1, u2)
-            m = np.maximum(u1, u2)
-            w1, w2 = np.exp(u1 - m), np.exp(u2 - m)
-            self.shrinkage = ((x - a) * w1 + (x + a) * w2) / (w1 + w2)
+            self.log_psi = base + np.logaddexp(u1, u2)
+            top = np.maximum(u1, u2)
+            w1, w2 = np.exp(u1 - top), np.exp(u2 - top)
+            self.shrinkage = ((m - a) * w1 + (m + a) * w2) / (w1 + w2)
             self._l_minus = np.logaddexp(neg, pos - 2.0 * a * x)
             self._l_plus = np.logaddexp(neg + 2.0 * a * x, pos)
             self.cdf_at_zero = np.exp(neg - self._l_minus)
-        elif prior.family is SlabFamily.GAUSSIAN:
-            from scipy.special import ndtr
-            tau = math.hypot(1.0, a)
-            self.log_psi = log_phi(x / tau) - math.log(tau)
-            self.shrinkage, sd = _gaussian_posterior(a, x)
-            self.cdf_at_zero = ndtr(-self.shrinkage / sd)
         else:
             values, inverse = np.unique(x, return_inverse=True)
             self._tables = PanelTables(prior, values)
@@ -599,68 +603,59 @@ class SlabValues:
     def second_moment(self) -> np.ndarray:
         """int t^2 phi(x - t) g(t) dt / psi(x), the slab-conditional second moment.
 
-        The Laplace one is (1 - H(0)) E(a - x) + H(0) E(a + x): the weight
-        of each piece times its second moment, that of a normal truncated at
-        0 (_excess_second_moment).  1 - H(0) rounds to eps absolute; where
-        that is large against it, x < 0 and E(a - x) < E(a + x).
+        In closed form it is sd^2 [(1 - H(0)) E((a - m) / sd) + H(0)
+        E((a + m) / sd)]: the weight of each piece times its second moment,
+        that of a normal truncated at 0 (_excess_second_moment).  1 - H(0)
+        rounds to eps absolute; where that is large against it, m < 0 and
+        E((a - m) / sd) < E((a + m) / sd).
         """
-        a, x = self.prior.scale, self.x
         if self._tables is not None:
             return self._tables.second_moment()[self._entry]
-        if self.prior.family is SlabFamily.GAUSSIAN:
-            m = self.shrinkage
-            return m * m + (a * a) / (1.0 + a * a)
-        h0 = self.cdf_at_zero
-        return (1.0 - h0) * _excess_second_moment(a - x) + h0 * _excess_second_moment(a + x)
+        (m, a, sd), h0 = self._split, self.cdf_at_zero
+        return sd * sd * ((1.0 - h0) * _excess_second_moment((a - m) / sd)
+                          + h0 * _excess_second_moment((a + m) / sd))
 
     def quantile(self, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Generalized inverse of H, inf {u : H(u) >= tau}, of the entries
         index of the flattened x at the levels tau; -inf where tau <= 0 and
         +inf where tau >= 1.
 
-        The Gaussian slab posterior gives m + sd ndtri(tau).  The Laplace
-        one gives u = x + a + ndtri_exp(log tau + L - a x) for tau <= H(0),
-        else u = x - a - ndtri_exp(log(1 - tau) + L + a x).  The panel
-        tables are inverted by table_quantiles.
+        In closed form u = m + a + sd ndtri_exp(log tau + L - a x) for
+        tau <= H(0), else u = m - a - sd ndtri_exp(log(1 - tau) + L + a x).
+        The panel tables are inverted by table_quantiles.
         """
         out = np.where(tau <= 0.0, -np.inf, np.inf)
         inside = (tau > 0.0) & (tau < 1.0)
         k, tau = index[inside], tau[inside]
         if not k.size:
             return out
-        x, a = np.take(self.x, k), self.prior.scale
         if self._tables is not None:
             out[inside] = table_quantiles(self._tables, np.take(self._entry, k), tau)
-        elif self.prior.family is SlabFamily.LAPLACE:
-            from scipy.special import ndtri_exp
-            below = tau <= np.take(self.cdf_at_zero, k)
-            out[inside] = np.where(below, x + a + ndtri_exp(np.log(tau) + np.take(self._l_minus, k)),
-                                   x - a - ndtri_exp(np.log1p(-tau) + np.take(self._l_plus, k)))
-        else:
-            from scipy.special import ndtri
-            m, sd = _gaussian_posterior(a, x)
-            out[inside] = m + sd * ndtri(tau)
+            return out
+        from scipy.special import ndtri_exp
+        m, a, sd = self._split
+        m, below = np.take(m, k), tau <= np.take(self.cdf_at_zero, k)
+        lo = m + a + sd * ndtri_exp(np.log(tau) + np.take(self._l_minus, k))
+        hi = m - a - sd * ndtri_exp(np.log1p(-tau) + np.take(self._l_plus, k))
+        out[inside] = np.where(below, lo, hi)
         return out
 
     def cdf(self, k: int, u: float) -> float:
         """H(u) = psi(x, u) / psi(x) of entry k of the flattened x, from the
         arrays quantile inverts.
 
-        The Gaussian slab posterior gives Phi((u - m) / sd).  The Laplace one
-        gives exp(log Phi(u - x - a) - (L - a x)) for u <= 0, else
-        1 - exp(log Phi(x - a - u) - (L + a x)).  The panel tables sum the
-        entry's panels up to u.
+        In closed form it is exp(log Phi((u - m - a) / sd) - (L - a x)) for
+        u <= 0, else 1 - exp(log Phi((m - a - u) / sd) - (L + a x)).  The
+        panel tables sum the entry's panels up to u.
         """
         if self._tables is not None:
             return self._tables.cdf(int(self._entry.flat[k]), u)
-        from scipy.special import log_ndtr, ndtr
-        x, a = self.x.flat[k], self.prior.scale
-        if self.prior.family is SlabFamily.LAPLACE:
-            if u <= 0.0:
-                return float(np.exp(log_ndtr(u - x - a) - self._l_minus.flat[k]))
-            return float(-np.expm1(log_ndtr(x - a - u) - self._l_plus.flat[k]))
-        m, sd = _gaussian_posterior(a, x)
-        return float(ndtr((u - m) / sd))
+        from scipy.special import log_ndtr
+        m, a, sd = self._split
+        m = m.flat[k]
+        if u <= 0.0:
+            return float(np.exp(log_ndtr((u - m - a) / sd) - self._l_minus.flat[k]))
+        return float(-np.expm1(log_ndtr((m - a - u) / sd) - self._l_plus.flat[k]))
 
 
 def posterior_shrinkage(prior: SlabPrior, x):

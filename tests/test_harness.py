@@ -88,6 +88,12 @@ def test_experiment_config_validation():
     for name in ("pn_grid", "amplitudes", "estimators", "qs"):
         with pytest.raises(ValueError, match=f"{name} must not be empty"):
             ExperimentConfig(**{name: ()})
+    # a repeated entry is an error by name, not a table whose cells fold the
+    # repeats that its loss array keeps
+    for name, repeated in (("pn_grid", (4, 4)), ("amplitudes", (5.0, 5)),
+                           ("estimators", ("PM1", "PM1")), ("qs", (2.0, 2.0))):
+        with pytest.raises(ValueError, match=f"{name} must not repeat an entry"):
+            ExperimentConfig(**{name: repeated})
 
 
 @pytest.fixture(scope="module")

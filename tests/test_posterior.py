@@ -673,10 +673,12 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
     post.marginal_cdf(0, 0.5)  # the spies do see a cdf evaluation
     assert "SlabValues.cdf" in calls
 
-def test_laplace_fit_evaluates_log_ndtr_once_per_sign(monkeypatch):
-    # psi, zeta/psi, H(0) and the quantile halves of the Laplace slab all
-    # come from log Phi(x - a) and log Phi(-x - a), evaluated once per fit;
-    # the Laplace branches import log_ndtr from scipy.special when called
+@pytest.mark.parametrize("slab", [laplace_slab(), gaussian_slab()], ids=str)
+def test_closed_form_fit_evaluates_log_ndtr_once_per_sign(monkeypatch, slab):
+    # psi, zeta/psi, H(0) and the quantile halves of a closed-form slab all
+    # come from log Phi((m - a) / sd) and log Phi((-m - a) / sd), evaluated
+    # once per fit; the closed forms import log_ndtr from scipy.special when
+    # called
     import scipy.special
 
     sizes = []
@@ -688,7 +690,7 @@ def test_laplace_fit_evaluates_log_ndtr_once_per_sign(monkeypatch):
 
     monkeypatch.setattr(scipy.special, "log_ndtr", counting_log_ndtr)
     x = np.array([0.3, -1.2, 4.5, 0.3, 2.0, -1.2, 0.0, 30.0])
-    post = fit(x, complexity_prior(8, 0.1), laplace_slab(), quantiles=True)
+    post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
     assert sizes == [8, 8]
     assert np.all(np.isfinite(post.credible_hi))
 

@@ -33,14 +33,15 @@ def test_command_line_examples_parse():
 
 
 def test_named_code_exists():
-    # every backticked module-qualified name (`logpoly._forward`,
-    # `slabs.SlabValues(slab, x)`) and every backticked bare private name
+    # every backticked name qualified by a module of the map below
+    # (`logpoly._forward`, `slabs.SlabValues(slab, x)`, `cli.main`) and
+    # every backticked bare private name
     # (`_product`) exists in a spikeslab module, so a renamed or deleted
     # function fails here instead of leaving the docs stale
     text = README.read_text()
     modules = {name: importlib.import_module(f"spikeslab.{name}") for name in
                ("logpoly", "slabs", "posterior", "harness", "dimension", "cli", "estimators")}
-    qualified = re.findall(r"`(logpoly|slabs|posterior|harness|dimension)\.(\w+)", text)
+    qualified = re.findall(rf"`({'|'.join(modules)})\.(\w+)", text)
     bare = re.findall(r"`(_\w+)[`(]", text)
     assert qualified and bare
     missing = [f"{module}.{name}" for module, name in qualified

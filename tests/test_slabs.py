@@ -59,6 +59,11 @@ def test_invalid_parameters_rejected():
         exp_power_slab(0.0)
     with pytest.raises(ValueError):
         exp_power_slab(2.5)
+    # a shape on a family that takes none would be a distinct, unequal key
+    # for the same slab
+    for family in (SlabFamily.LAPLACE, SlabFamily.GAUSSIAN):
+        with pytest.raises(ValueError, match=family.value):
+            SlabPrior(family, 1.0, 3.0)
 
 
 @pytest.mark.parametrize("prior", ALL_SLABS, ids=str)
@@ -323,6 +328,35 @@ def test_laplace_second_moment_matches_high_precision(rate):
             expected.append(float(second / mass))
     assert SlabValues(laplace_slab(rate), TAIL_GRID).second_moment == pytest.approx(expected,
                                                                                   rel=1e-11)
+
+
+@pytest.mark.parametrize("std", [1e-3, 1.0, 1e3])
+def test_gaussian_split_normal_is_the_normal_posterior(std):
+    # the Gaussian slab posterior N(m, sd^2), m = x s^2 / (1 + s^2) and
+    # sd^2 = s^2 / (1 + s^2), written out with ndtr and ndtri: the split
+    # normal with a = 0 gives every slab function of it
+    from scipy.special import ndtr, ndtri
+
+    values = SlabValues(gaussian_slab(std), TAIL_GRID)
+    tau2 = 1.0 + std * std
+    m, sd = TAIL_GRID * (std * std) / tau2, std / math.sqrt(tau2)
+    levels = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
+    k = np.repeat(np.arange(TAIL_GRID.size), levels.size)
+    tau = np.tile(levels, TAIL_GRID.size)
+    u = m[k] + sd * ndtri(tau)
+    # the cdf at the reference quantiles, at 0 and at each x
+    at = np.concatenate([u, np.zeros(TAIL_GRID.size), TAIL_GRID])
+    j = np.concatenate([k, np.arange(TAIL_GRID.size), np.arange(TAIL_GRID.size)])
+    cases = {
+        "log_psi": (values.log_psi, log_phi(TAIL_GRID / math.sqrt(tau2)) - 0.5 * math.log(tau2)),
+        "shrinkage": (values.shrinkage, m),
+        "cdf_at_zero": (values.cdf_at_zero, ndtr(-m / sd)),
+        "second_moment": (values.second_moment, m * m + (std * std) / tau2),
+        "quantile": (values.quantile(k, tau), u),
+        "cdf": (np.array([values.cdf(i, v) for i, v in zip(j, at)]), ndtr((at - m[j]) / sd)),
+    }
+    for name, (got, want) in cases.items():
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
 
 
 @pytest.mark.parametrize("x", [-40.0, 3.0, 40.0, 1e3])
