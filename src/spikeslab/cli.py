@@ -185,7 +185,7 @@ def main(argv=None) -> int:
             replications=args.reps, estimators=tuple(args.estimators),
             kappa=args.kappa, b=args.b, slab=slab,
             qs=tuple(args.q), seed=args.seed, threads=args.threads,
-        ), "--n, --pn, --amp, --reps, --estimators, --kappa, --b or --q")
+        ), "--n, --pn, --amp, --reps, --estimators, --kappa, --b, --q or --threads")
         table = harness.run_table(config)
         if args.out:
             (table.to_json if args.format == "json" else table.to_csv)(args.out)

@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise ValueError(f"hard thresholding (HT, HTO) needs n >= 2, got n = {self.n}")
         if not (self.kappa > 0 and self.b > 0):
             raise ValueError("kappa and b must be positive")
+        if self.threads is not None and not (isinstance(self.threads, (int, np.integer))
+                                             and self.threads >= 1):
+            raise ValueError(f"threads must be None or an int >= 1, got {self.threads!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,9 +16,10 @@ the one place that decides how a family is evaluated.  Laplace and Gaussian
 slabs share one closed form on the log scale, a normal law split at 0
 (log-Phi via erfc keeps the e^{a x} Phi(-x - a) products finite for large
 |x|), second moment included, from one pair of log-Phi arrays.  Student
-and exponential-power slabs come from one stacked panel table over the
-distinct observations (PanelTables), one 21-point Gauss-Kronrod rule a
-panel, whose embedded 10-point Gauss rule gives the refinement estimate:
+and exponential-power slabs come from one stacked panel table with an
+entry per observation (PanelTables), one 21-point Gauss-Kronrod rule a
+panel (_panel_rule, the one kernel that every table quantity reads),
+whose embedded 10-point Gauss rule gives the refinement estimate:
 one peak search, zooming a grid for every observation at once (_windows),
 places all their windows, trimmed to where the log integrand is within 750
 of its peak, and gives each observation's scale, its log integrand at the
@@ -337,35 +338,17 @@ def _meshes(prior: SlabPrior, x: np.ndarray, lo, hi, peak):
     return knots[new], np.searchsorted(owner[new], np.arange(n + 1))
 
 
-def _panel_rule(prior: SlabPrior, x, a, b):
-    """Nodes t and log integrand log phi(x - t) + log g(t) of the 21-point
-    Kronrod rule on each panel [a, b], one row per panel, and the panel's
-    half-width, by which the rule's weights scale; x is one observation or
-    one per panel."""
+def _panel_rule(prior: SlabPrior, x, shift, a, b):
+    """(t, f, half): the nodes t of the 21-point Kronrod rule on each panel
+    [a, b], one row per panel, the integrand f = exp(-shift) phi(x - t) g(t)
+    there and the panel's half-width, by which the rule's weights scale; x
+    and shift are scalars or one per panel."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     half = 0.5 * (b - a)
     t = 0.5 * (a + b)[:, None] + half[:, None] * _NODES
-    return t, _log_integrand(prior, np.reshape(x, (-1, 1)), t), half
-
-
-def _partial_mass(prior: SlabPrior, x, a, u, shift):
-    """The Kronrod rule for the integral of exp(-shift) phi(x - t) g(t) over
-    each [a, u]; x and shift are scalars or one per interval."""
-    _, log_f, half = _panel_rule(prior, x, a, u)
-    return (np.exp(log_f - np.reshape(shift, (-1, 1))) * _KRONROD).sum(axis=1) * half
-
-
-def _panel_masses(prior: SlabPrior, x, shift, a, b):
-    """(mass, moment, gauss) of each panel [a, b], with x and shift those of
-    its entry: the Kronrod rule for the integral of exp(-shift) phi(x - t)
-    g(t) on the panel and of t times it, and the embedded Gauss rule for
-    the first, for the refinement estimate."""
-    t, log_f, half = _panel_rule(prior, x, a, b)
-    log_f -= shift[:, None]
-    vals = np.exp(log_f, out=log_f)
-    gauss = (vals[:, 1::2] * _GAUSS).sum(axis=1) * half
-    vals *= _KRONROD
-    return vals.sum(axis=1) * half, (vals * t).sum(axis=1) * half, gauss
+    f = _log_integrand(prior, np.reshape(x, (-1, 1)), t)
+    f -= np.reshape(shift, (-1, 1))
+    return t, np.exp(f, out=f), half
 
 
 class PanelTables:
@@ -374,15 +357,17 @@ class PanelTables:
     entry j are mesh[start[j]:start[j + 1]] and cum[start[j]:start[j + 1]].
 
     The mesh of an entry (_meshes) spans its window; each panel gets the
-    21-point Gauss-Kronrod rule.  The integrand of an entry is scaled by
-    its value at the peak that places the window, exp(shift) (_windows), so
-    psi and the moments stay finite when psi underflows the linear domain,
-    and every panel is then independent of the others.  The rule runs on
-    fixed slices of _RULE_ROWS panels (_slices), each taking its panels'
-    observations and scales from the entry offsets; an entry may straddle
-    two slices.  Every reduction is over one panel's nodes (a row) or one
-    entry's own panels (np.add.reduceat, one cumsum per entry), so an entry
-    reads the same, bit for bit, whatever else is stacked with it.
+    21-point Gauss-Kronrod rule (_panel_rule): the masses, both moments, the
+    cdf and its inverse all read that one kernel.  The integrand of an
+    entry is scaled by its value at the peak that places the window,
+    exp(shift) (_windows), so psi and the moments stay finite when psi
+    underflows the linear domain, and every panel is then independent of the
+    others.  The rule runs on fixed slices of _RULE_ROWS panels (_slices),
+    each taking its panels' observations and scales from the entry offsets;
+    an entry may straddle two slices.  Every reduction is over one panel's
+    nodes (a row) or one entry's own panels (np.add.reduceat, one cumsum per
+    entry), so an entry reads the same, bit for bit, whatever else is
+    stacked with it, repeats of its observation included.
 
     Per entry: log_psi, the slab-conditional mean zeta/psi, the slab cdf
     H(u) = psi(x, u) / psi(x) (cdf) and its value cdf_at_zero at the knot 0,
@@ -401,9 +386,13 @@ class PanelTables:
         self.mesh, self.start = _meshes(prior, x, lo, hi, peak)
         self.panels = np.diff(self.start) - 1
         self._first = self.start[:-1] - np.arange(x.size)  # of each entry's panels
+        # Kronrod mass and first moment of each panel; Gauss mass for the error
         sums, moments, gauss = np.empty((3, self.mesh.size - x.size))
         for r, *args in self._slices():
-            sums[r], moments[r], gauss[r] = _panel_masses(prior, *args)
+            t, f, half = _panel_rule(prior, *args)
+            gauss[r] = (f[:, 1::2] * _GAUSS).sum(axis=1) * half
+            f *= _KRONROD
+            sums[r], moments[r] = f.sum(axis=1) * half, (f * t).sum(axis=1) * half
         self.cum = np.zeros(self.mesh.size)
         for j, (k, m) in enumerate(zip(self._first, self.panels)):
             np.cumsum(sums[k:k + m], out=self.cum[self.start[j] + 1:self.start[j + 1]])
@@ -437,9 +426,9 @@ class PanelTables:
         """int t^2 phi(x - t) g(t) dt / psi(x) of every entry, from the
         Kronrod rule on every panel once more, on the same slices."""
         sums = np.empty(self.mesh.size - self.x.size)
-        for r, x, shift, a, b in self._slices():
-            t, log_f, half = _panel_rule(self.prior, x, a, b)
-            sums[r] = (np.exp(log_f - shift[:, None]) * t * t * _KRONROD).sum(axis=1) * half
+        for r, *args in self._slices():
+            t, f, half = _panel_rule(self.prior, *args)
+            sums[r] = (f * t * t * _KRONROD).sum(axis=1) * half
         return np.add.reduceat(sums, self._first) / self.total
 
     def cdf(self, j: int, u: float) -> float:
@@ -451,7 +440,8 @@ class PanelTables:
         if u >= mesh[-1]:
             return 1.0
         k = int(np.searchsorted(mesh, u)) - 1
-        part = float(_partial_mass(self.prior, self.x[j], mesh[k], u, self.shift[j])[0])
+        _, f, half = _panel_rule(self.prior, self.x[j], self.shift[j], mesh[k], u)
+        part = float((f * _KRONROD).sum(axis=1)[0] * half[0])
         cum = self.cum[self.start[j] + k]
         return min(max((cum + part) / self.total[j], 0.0), 1.0)
 
@@ -494,7 +484,8 @@ def table_quantiles(tables: PanelTables, j: np.ndarray, tau: np.ndarray) -> np.n
     # bisection alone reaches the float resolution of a panel in 64 steps
     for _ in range(64):
         um = u[m]
-        miss = _partial_mass(prior, x[m], start[m], um, shift[m]) - need[m]
+        _, f, half = _panel_rule(prior, x[m], shift[m], start[m], um)
+        miss = (f * _KRONROD).sum(axis=1) * half - need[m]
         dens = np.exp(_log_integrand(prior, x[m], um) - shift[m])
         lo[m] = np.where(miss < 0.0, um, lo[m])
         hi[m] = np.where(miss < 0.0, hi[m], um)
@@ -512,21 +503,21 @@ def table_quantiles(tables: PanelTables, j: np.ndarray, tau: np.ndarray) -> np.n
 _MILLS_TERMS = 100  # depth of the continued fraction: exact to rounding for y > 2.5
 
 
-def _excess_second_moment(y):
-    """E[(Z - y)^2 | Z > y] for a standard normal Z, elementwise.
+def _excess_second_moment(y, log_tail):
+    """E[(Z - y)^2 | Z > y] for a standard normal Z, elementwise, given
+    log_tail = log Phi(-y).
 
     It is 1 + y^2 - y lambda with lambda = phi(y) / Phi(-y), the inverse
     Mills ratio; for y > 2.5 those terms cancel (the value tends to 2 / y^2),
     and it is 2 / (y D + 2) with D = y + 3 / (y + 4 / (y + 5 / ...)), from
     Laplace's continued fraction lambda = y + 1 / (y + 2 / D).
     """
-    from scipy.special import log_ndtr
     tail = y > 2.5
     yt = np.where(tail, y, 3.0)
     d = yt
     for k in range(_MILLS_TERMS, 2, -1):
         d = yt + k / d
-    return np.where(tail, 2.0 / (yt * d + 2.0), 1.0 + y * y - y * np.exp(log_phi(y) - log_ndtr(-y)))
+    return np.where(tail, 2.0 / (yt * d + 2.0), 1.0 + y * y - y * np.exp(log_phi(y) - log_tail))
 
 
 def _split_normal(prior: SlabPrior, x: np.ndarray):
@@ -534,13 +525,14 @@ def _split_normal(prior: SlabPrior, x: np.ndarray):
     below 0 and N(m - a, sd^2) above it, with log weight factors a x and -a x,
     and base is the part of log psi that the pieces leave out.  Laplace (rate
     a): m = x, sd = 1, base = log(a / 2) + a^2 / 2.  Gaussian (std s): a = 0,
-    m = x s^2 / tau^2 with tau = sqrt(1 + s^2), sd = s / tau and base =
-    log phi(x / tau) - log tau."""
+    sd = s / tau with tau = sqrt(1 + s^2), m = x sd^2 and base =
+    log phi(x / tau) - log tau; sd, not s^2, so no s overflows."""
     s = prior.scale
     if prior.family is SlabFamily.LAPLACE:
         return x, s, 1.0, math.log(s / 2.0) + 0.5 * s * s
     tau = math.hypot(1.0, s)
-    return x * (s * s) / (1.0 + s * s), 0.0, s / tau, log_phi(x / tau) - math.log(tau)
+    sd = s / tau
+    return x * (sd * sd), 0.0, sd, log_phi(x / tau) - math.log(tau)
 
 
 class SlabValues:
@@ -551,20 +543,20 @@ class SlabValues:
     the slab cdf H(u) = psi(x, u) / psi(x) and cdf evaluates it, both at
     entries named by their index into the flattened x.  This is the one
     place that decides how a slab family is evaluated: closed forms for the
-    Laplace and Gaussian slabs, one PanelTables over the distinct
-    observations for the Student and exponential-power slabs.  From the
-    tables it keeps quadrature_error, the largest refinement estimate, and
-    panels, the panel count of each entry (0.0 and zeros for the closed
-    forms).
+    Laplace and Gaussian slabs, one PanelTables over the flattened x, one
+    table entry per observation, for the Student and exponential-power
+    slabs.  From the tables it keeps quadrature_error, the largest
+    refinement estimate, and panels, the panel count of each entry (0.0 and
+    zeros for the closed forms).
 
     A closed-form slab posterior is one normal law split at 0
     (_split_normal): N(m + a, sd^2) below 0 with log weight L- = a x +
     log Phi((-m - a) / sd) and N(m - a, sd^2) above 0 with log weight L+ =
     -a x + log Phi((m - a) / sd); the normal densities at 0 cancel, as the
     posterior density is continuous there.  psi, zeta, H(0) and the second
-    moment all come from those two log Phi arrays.  H and its inverse use
-    L - a x and L + a x, L = logaddexp(L-, L+), formed without the large
-    terms +/- a x, so no cancellation.
+    moment all come from those two log Phi arrays, evaluated once and kept.
+    H and its inverse use L - a x and L + a x, L = logaddexp(L-, L+), formed
+    without the large terms +/- a x, so no cancellation.
     """
 
     def __init__(self, prior: SlabPrior, x):
@@ -581,6 +573,7 @@ class SlabValues:
             m, a, sd, base = _split_normal(prior, x)
             self._split = m, a, sd
             neg, pos = log_ndtr((-m - a) / sd), log_ndtr((m - a) / sd)
+            self._log_ndtr = neg, pos
             u1, u2 = -a * x + pos, a * x + neg
             self.log_psi = base + np.logaddexp(u1, u2)
             top = np.maximum(u1, u2)
@@ -590,14 +583,12 @@ class SlabValues:
             self._l_plus = np.logaddexp(neg + 2.0 * a * x, pos)
             self.cdf_at_zero = np.exp(neg - self._l_minus)
         else:
-            values, inverse = np.unique(x, return_inverse=True)
-            self._tables = PanelTables(prior, values)
-            self._entry = inverse.reshape(x.shape)  # the table entry of each x
-            self.log_psi = self._tables.log_psi[self._entry]
-            self.shrinkage = self._tables.mean[self._entry]
-            self.cdf_at_zero = self._tables.cdf_at_zero[self._entry]
+            self._tables = PanelTables(prior, x.ravel())
+            self.log_psi = self._tables.log_psi.reshape(x.shape)
+            self.shrinkage = self._tables.mean.reshape(x.shape)
+            self.cdf_at_zero = self._tables.cdf_at_zero.reshape(x.shape)
             self.quadrature_error = float(self._tables.error.max())
-            self.panels = self._tables.panels[self._entry]
+            self.panels = self._tables.panels.reshape(x.shape)
 
     @cached_property
     def second_moment(self) -> np.ndarray:
@@ -605,15 +596,17 @@ class SlabValues:
 
         In closed form it is sd^2 [(1 - H(0)) E((a - m) / sd) + H(0)
         E((a + m) / sd)]: the weight of each piece times its second moment,
-        that of a normal truncated at 0 (_excess_second_moment).  1 - H(0)
-        rounds to eps absolute; where that is large against it, m < 0 and
-        E((a - m) / sd) < E((a + m) / sd).
+        that of a normal truncated at 0 (_excess_second_moment), whose log
+        Phi((m - a) / sd) and log Phi((-m - a) / sd) are the two arrays psi
+        came from (fl(a - m) = -fl(m - a)), so no log Phi is evaluated again.
+        1 - H(0) rounds to eps absolute; where that is large against it,
+        m < 0 and E((a - m) / sd) < E((a + m) / sd).
         """
         if self._tables is not None:
-            return self._tables.second_moment()[self._entry]
-        (m, a, sd), h0 = self._split, self.cdf_at_zero
-        return sd * sd * ((1.0 - h0) * _excess_second_moment((a - m) / sd)
-                          + h0 * _excess_second_moment((a + m) / sd))
+            return self._tables.second_moment().reshape(self.x.shape)
+        (m, a, sd), (neg, pos), h0 = self._split, self._log_ndtr, self.cdf_at_zero
+        return sd * sd * ((1.0 - h0) * _excess_second_moment((a - m) / sd, pos)
+                          + h0 * _excess_second_moment((a + m) / sd, neg))
 
     def quantile(self, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Generalized inverse of H, inf {u : H(u) >= tau}, of the entries
@@ -630,7 +623,7 @@ class SlabValues:
         if not k.size:
             return out
         if self._tables is not None:
-            out[inside] = table_quantiles(self._tables, np.take(self._entry, k), tau)
+            out[inside] = table_quantiles(self._tables, k, tau)
             return out
         from scipy.special import ndtri_exp
         m, a, sd = self._split
@@ -649,7 +642,7 @@ class SlabValues:
         panel tables sum the entry's panels up to u.
         """
         if self._tables is not None:
-            return self._tables.cdf(int(self._entry.flat[k]), u)
+            return self._tables.cdf(int(k), u)
         from scipy.special import log_ndtr
         m, a, sd = self._split
         m = m.flat[k]

@@ -139,6 +139,7 @@ def test_fit_student_slab(obs_file, capsys):
     (["simulate", "--n", "1", "--pn", "0"], "--n"),  # hard thresholding needs n >= 2
     (["simulate", "--pn", "2", "2"], "pn_grid must not repeat"),
     (["simulate", "--amp", "5", "5"], "amplitudes must not repeat"),
+    (["simulate", "--threads", "0"], "--threads"),
     (["intervals", "--levels", "0", "1.5"], "--levels 0 1.5"),
     (["intervals", "--levels", "0.9", "0.1"], "--levels 0.9 0.1"),
     (["dim-check", "--M", "-1", "0", "1"], "--M"),

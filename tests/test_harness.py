@@ -78,6 +78,12 @@ def test_experiment_config_validation():
         ExperimentConfig(qs=(3.0,))
     with pytest.raises(ValueError, match="kappa"):
         ExperimentConfig(kappa=0.0)
+    # a worker count is None or an int >= 1, and any other is an error by name
+    for threads in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(threads=threads)
+    for threads in (None, 1, 2, np.int64(2)):
+        ExperimentConfig(threads=threads)
     with pytest.raises(ValueError, match="n >= 2"):
         ExperimentConfig(n=1, pn_grid=(0,))
     with pytest.raises(ValueError, match="n >= 2"):

@@ -573,9 +573,10 @@ def test_eb_weight_single_observation():
 
 
 def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
-    # no adaptive quadrature: one stacked table over the distinct
-    # observations, whose panels go through one Kronrod rule evaluation
-    # (they fit one slice of _RULE_ROWS panels), with no halved panels
+    # no adaptive quadrature: one stacked table with an entry per
+    # observation, repeats included, whose panels go through one Kronrod rule
+    # evaluation (they fit one slice of _RULE_ROWS panels), with no halved
+    # panels
     import scipy.integrate
 
     from spikeslab import slabs
@@ -592,17 +593,17 @@ def test_quadrature_fit_evaluates_the_rule_once_per_slab_values(monkeypatch):
         init(self, prior, x)
         built.append((x.tolist(), list(rows)))
 
-    def counting_rule(prior, x, a, b):
+    def counting_rule(prior, x, shift, a, b):
         rows.append(np.size(a))
-        return rule(prior, x, a, b)
+        return rule(prior, x, shift, a, b)
 
     monkeypatch.setattr(slabs.PanelTables, "__init__", counting_init)
     monkeypatch.setattr(slabs, "_panel_rule", counting_rule)
-    x = np.array([[0.3, -1.2, 0.3, 0.3, -1.2, -1.2]])
+    x = np.array([[0.3, -1.2, 0.3, -1.2]])
     layer = SlabLayer(student_slab(3.0), x)
     panels = int(layer.values._tables.panels.sum())
-    assert built == [(sorted(set(x.ravel().tolist())), [panels])]
-    post = layer.fit(complexity_prior(6, 0.1))[0]
+    assert built == [(x.ravel().tolist(), [panels])]
+    post = layer.fit(complexity_prior(4, 0.1))[0]
     assert len(built) == 1 and np.all(np.isfinite(post.credible_hi))
     # a block whose panels pass _RULE_ROWS takes one evaluation per slice of
     # at most _RULE_ROWS panels, whatever observations the slice cuts
@@ -675,10 +676,10 @@ def test_fit_quantiles_evaluate_no_slab_cdf(monkeypatch, slab):
 
 @pytest.mark.parametrize("slab", [laplace_slab(), gaussian_slab()], ids=str)
 def test_closed_form_fit_evaluates_log_ndtr_once_per_sign(monkeypatch, slab):
-    # psi, zeta/psi, H(0) and the quantile halves of a closed-form slab all
-    # come from log Phi((m - a) / sd) and log Phi((-m - a) / sd), evaluated
-    # once per fit; the closed forms import log_ndtr from scipy.special when
-    # called
+    # psi, zeta/psi, H(0), the quantile halves and the second moment of a
+    # closed-form slab all come from log Phi((m - a) / sd) and
+    # log Phi((-m - a) / sd), evaluated once per fit; the closed forms import
+    # log_ndtr from scipy.special when called
     import scipy.special
 
     sizes = []
@@ -693,6 +694,9 @@ def test_closed_form_fit_evaluates_log_ndtr_once_per_sign(monkeypatch, slab):
     post = fit(x, complexity_prior(8, 0.1), slab, quantiles=True)
     assert sizes == [8, 8]
     assert np.all(np.isfinite(post.credible_hi))
+    layer = SlabLayer(slab, x[None])
+    assert np.all(np.isfinite(layer.values.second_moment))
+    assert sizes == [8, 8, 8, 8]
 
 
 # -- blocks of fits ---------------------------------------------------------------------

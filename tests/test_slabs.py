@@ -359,6 +359,25 @@ def test_gaussian_split_normal_is_the_normal_posterior(std):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("std", [1e155, 1e300])
+def test_gaussian_slab_at_huge_scale_is_the_flat_slab_limit(std):
+    # s^2 overflows past s = 1.3e154, but the posterior is N(x, 1) to
+    # rounding: shrinkage x, H(0) = Phi(-x) and second moment x^2 + 1, with
+    # no floating-point warning on the way
+    from scipy.special import ndtr
+
+    values = SlabValues(gaussian_slab(std), TAIL_GRID)
+    cases = {
+        "shrinkage": (values.shrinkage, TAIL_GRID),
+        "cdf_at_zero": (values.cdf_at_zero, ndtr(-TAIL_GRID)),
+        "second_moment": (values.second_moment, TAIL_GRID * TAIL_GRID + 1.0),
+    }
+    assert np.all(np.isfinite(values.log_psi))
+    for name, (got, want) in cases.items():
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+
+
 @pytest.mark.parametrize("x", [-40.0, 3.0, 40.0, 1e3])
 def test_exp_power_two_matches_gaussian_closed_form(x):
     # exp(-(t/s)^2) is a Gaussian slab with std s / sqrt(2); at |x| >= 40 the
@@ -529,30 +548,37 @@ def test_table_quantiles_batch_matches_single_tables(prior):
     ids=str,
 )
 def test_table_layer_is_batch_invariant(prior, monkeypatch):
-    # one stacked table holds every distinct entry of a SlabValues; each
-    # entry's mesh, and every value read from it, is the one the entry
-    # builds alone, bit for bit (a Laplace slab builds no table), also where
-    # its panels straddle two slices of the rule.  Slices of 20 panels, fewer
-    # than any entry's, so entries straddle them under every slab; the
-    # masses and the second moment run on the same slices
+    # one stacked table holds an entry per observation of a SlabValues,
+    # repeats and both zeros included; each entry's mesh, and every value
+    # read from it, is the one its observation builds alone, bit for bit (a
+    # Laplace slab builds no table), also where its panels straddle two
+    # slices of the rule.  Slices of 20 panels, fewer than any entry's, so
+    # entries straddle them under every slab; the masses and the second
+    # moment run on the same slices
     monkeypatch.setattr(slabs, "_RULE_ROWS", 20)
-    values = SlabValues(prior, TAIL_GRID)
-    if values._tables is not None:
-        first = values._tables.start[:-1] - np.arange(values._tables.x.size)
-        last = first + values._tables.panels - 1
+    block = np.stack([TAIL_GRID, -TAIL_GRID])  # every value twice, 0.0 and -0.0
+    values = SlabValues(prior, block)
+    tables = values._tables
+    if tables is not None:
+        assert tables.x.size == block.size
+        first = tables.start[:-1] - np.arange(tables.x.size)
+        last = first + tables.panels - 1
         assert np.any(first // slabs._RULE_ROWS != last // slabs._RULE_ROWS)
     tau = np.array([1e-6, 0.3, 1.0 - 1e-6])
-    for k, x in enumerate(TAIL_GRID):
-        one = SlabValues(prior, TAIL_GRID[[k]])
-        if one._tables is not None:
-            tables, j = values._tables, values._entry[k]
-            mesh = tables.mesh[tables.start[j]:tables.start[j + 1]]
-            assert np.array_equal(mesh, one._tables.mesh), x
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    for k, x in enumerate(block.ravel()):
+        one = SlabValues(prior, block.ravel()[[k]])
+        if tables is not None:
+            mesh = tables.mesh[tables.start[k]:tables.start[k + 1]]
+            assert bits(mesh) == bits(one._tables.mesh), x
         for name in ("log_psi", "shrinkage", "second_moment", "cdf_at_zero", "panels"):
-            assert getattr(values, name)[k] == getattr(one, name)[0], (name, x)
-        assert (values.quantile(np.full(3, k), tau).tolist()
-                == one.quantile(np.zeros(3, int), tau).tolist())
-        assert values.cdf(k, x + 0.5) == one.cdf(0, x + 0.5), x
+            assert bits(getattr(values, name).flat[k]) == bits(getattr(one, name)[0]), (name, x)
+        assert (bits(values.quantile(np.full(3, k), tau))
+                == bits(one.quantile(np.zeros(3, int), tau))), x
+        assert bits(values.cdf(k, x + 0.5)) == bits(one.cdf(0, x + 0.5)), x
 
 
 @pytest.mark.parametrize("prior", TABLE_SLABS + [exp_power_slab(1.5, 1e-3)], ids=str)
